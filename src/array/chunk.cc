@@ -33,8 +33,13 @@ Chunk Chunk::MakeDense(uint32_t num_cells) {
 Chunk Chunk::FromCells(uint32_t num_cells,
                        std::vector<std::pair<uint32_t, double>> cells,
                        ChunkMode mode) {
-  std::sort(cells.begin(), cells.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
+  const auto by_offset = [](const auto& a, const auto& b) {
+    return a.first < b.first;
+  };
+  // Callers holding offset-sorted cells pay an O(n) check, not a sort.
+  if (!std::is_sorted(cells.begin(), cells.end(), by_offset)) {
+    std::sort(cells.begin(), cells.end(), by_offset);
+  }
   Chunk c;
   c.mode_ = mode;
   c.num_cells_ = num_cells;
@@ -76,6 +81,35 @@ Chunk Chunk::FromCells(uint32_t num_cells,
   // RuntimeProfile hook: no-op unless the calling thread is a profiling
   // task (attributes the chunk's mode + density to the running operator).
   prof::RecordChunkBuilt(static_cast<int>(mode), num_cells, c.num_valid_);
+  return c;
+}
+
+Chunk Chunk::FromMask(Bitmask mask, std::vector<double> values,
+                      ChunkMode mode) {
+  SPANGLE_DCHECK(mask.CountAll() == values.size());
+  Chunk c;
+  c.mode_ = mode;
+  c.num_cells_ = static_cast<uint32_t>(mask.num_bits());
+  c.num_valid_ = values.size();
+  switch (mode) {
+    case ChunkMode::kDense: {
+      c.payload_.assign(c.num_cells_, 0.0);
+      size_t idx = 0;
+      mask.ForEachSetBit([&](size_t off) { c.payload_[off] = values[idx++]; });
+      c.mask_ = std::move(mask);
+      break;
+    }
+    case ChunkMode::kSparse:
+      c.payload_ = std::move(values);
+      c.mask_ = std::move(mask);
+      c.mask_.BuildMilestones();
+      break;
+    case ChunkMode::kSuperSparse:
+      c.payload_ = std::move(values);
+      c.hmask_ = HierarchicalBitmask::FromBitmask(mask);
+      break;
+  }
+  prof::RecordChunkBuilt(static_cast<int>(mode), c.num_cells_, c.num_valid_);
   return c;
 }
 

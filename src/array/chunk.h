@@ -40,10 +40,16 @@ class Chunk {
   static Chunk MakeDense(uint32_t num_cells);
 
   /// Builds a chunk in `mode` from (offset, value) cells. Offsets must be
-  /// unique; order does not matter.
+  /// unique; order does not matter, but offset-sorted input skips the
+  /// sort.
   static Chunk FromCells(uint32_t num_cells,
                          std::vector<std::pair<uint32_t, double>> cells,
                          ChunkMode mode);
+
+  /// Builds a chunk in `mode` from a validity mask and the valid cells'
+  /// values in offset order: values[k] belongs to the k-th set bit.
+  static Chunk FromMask(Bitmask mask, std::vector<double> values,
+                        ChunkMode mode);
 
   /// Density-driven mode policy: dense above 50% valid; super-sparse when
   /// the flat bitmask would outweigh the payload (valid < cells/64);

@@ -376,14 +376,26 @@ class Node : public NodeBase {
       ctx()->metrics().cache_misses.fetch_add(1);
       was_lost = r.was_lost;
     }
-    auto computed =
-        std::make_shared<const std::vector<T>>(ComputePartition(i));
+    PartitionPtr computed = ComputeShared(i);
     if (op.active()) {
       op.FinishComputed(computed->size(), EstimateSize(*computed));
     }
     if (level != StorageLevel::kNone) {
       if (was_lost) ctx()->metrics().recomputed_partitions.fetch_add(1);
       StoreBlock(i, computed, level, /*recomputable=*/true);
+    }
+    return computed;
+  }
+
+  /// GetPartition for a caller that consumes the records: a partition
+  /// that is not persisted is computed straight into the returned vector
+  /// instead of being copied out of a shared block.
+  std::vector<T> TakePartition(int i) {
+    if (cache_enabled()) return *GetPartition(i);
+    prof::OperatorScope op(id());
+    std::vector<T> computed = ComputePartition(i);
+    if (op.active()) {
+      op.FinishComputed(computed.size(), EstimateSize(computed));
     }
     return computed;
   }
@@ -414,6 +426,12 @@ class Node : public NodeBase {
 
  protected:
   virtual std::vector<T> ComputePartition(int i) = 0;
+
+  /// ComputePartition as a shared block. ShuffleNode overrides it to hand
+  /// out its stored output block without copying it.
+  virtual PartitionPtr ComputeShared(int i) {
+    return std::make_shared<const std::vector<T>>(ComputePartition(i));
+  }
 
   /// Hands one partition to the BlockManager. `recomputable` is false
   /// for shuffle outputs, whose loss is repaired by re-materializing
@@ -623,6 +641,7 @@ class ShuffleNode final : public Node<std::pair<K, V>> {
  public:
   using Record = std::pair<K, V>;
   using Combiner = std::function<V(const V&, const V&)>;
+  using PartitionPtr = typename Node<Record>::PartitionPtr;
 
   ShuffleNode(Context* ctx, std::shared_ptr<Node<Record>> parent,
               std::shared_ptr<Partitioner<K>> partitioner, Combiner combiner,
@@ -674,23 +693,21 @@ class ShuffleNode final : public Node<std::pair<K, V>> {
     // Map side: one task per input partition produces n_out buckets.
     std::vector<std::vector<std::vector<Record>>> map_outputs(n_map);
     ctx->RunStage(this->name() + "/map", n_map, [&](int m) {
-      auto in = parent_->GetPartition(m);
-      std::vector<Record> records;
+      std::vector<Record> records = parent_->TakePartition(m);
       if (combiner_) {
         // Map-side combine, as Spark does for reduceByKey.
         std::unordered_map<K, V> acc;
-        for (const auto& [k, v] : *in) {
+        for (auto& [k, v] : records) {
           auto it = acc.find(k);
           if (it == acc.end()) {
-            acc.emplace(k, v);
+            acc.emplace(k, std::move(v));
           } else {
             it->second = combiner_(it->second, v);
           }
         }
+        records.clear();
         records.reserve(acc.size());
         for (auto& [k, v] : acc) records.emplace_back(k, std::move(v));
-      } else {
-        records = *in;
       }
       auto& buckets = map_outputs[m];
       buckets.resize(n_out);
@@ -783,26 +800,42 @@ class ShuffleNode final : public Node<std::pair<K, V>> {
  protected:
   std::vector<Record> ComputePartition(int i) override {
     if constexpr (spill::kSpillable<Record>) {
+      if (this->ctx()->distributed()) return FetchRemote(i);
+    }
+    return *LocalBlock(i);
+  }
+
+  /// LOCAL reads share the stored block instead of copying it.
+  PartitionPtr ComputeShared(int i) override {
+    if constexpr (spill::kSpillable<Record>) {
       if (this->ctx()->distributed()) {
-        auto bytes = this->ctx()->remote_shuffle()->FetchEncoded(this->id(), i);
-        if (!bytes.has_value()) {
-          // The owner daemon died (or restarted empty) after this job was
-          // planned — or the fetched frame failed content-hash validation
-          // (wire corruption). Same recovery as a local fetch failure
-          // below.
-          throw ShuffleBlockLostError({this->id()});
-        }
-        auto records = codec::DecodePartitionFrame<Record>(bytes->data(),
-                                                           bytes->size());
-        if (!records.ok()) {
-          // A structurally corrupt frame that still hash-validated can
-          // only come from a damaged daemon store; treat it as a lost
-          // block so lineage re-materializes instead of crashing.
-          throw ShuffleBlockLostError({this->id()});
-        }
-        return *std::move(records);
+        return std::make_shared<const std::vector<Record>>(FetchRemote(i));
       }
     }
+    return LocalBlock(i);
+  }
+
+ private:
+  std::vector<Record> FetchRemote(int i) {
+    auto bytes = this->ctx()->remote_shuffle()->FetchEncoded(this->id(), i);
+    if (!bytes.has_value()) {
+      // The owner daemon died (or restarted empty) after this job was
+      // planned — or the fetched frame failed content-hash validation
+      // (wire corruption). Same recovery as a local fetch failure below.
+      throw ShuffleBlockLostError({this->id()});
+    }
+    auto records = codec::DecodePartitionFrame<Record>(bytes->data(),
+                                                       bytes->size());
+    if (!records.ok()) {
+      // A structurally corrupt frame that still hash-validated can only
+      // come from a damaged daemon store; treat it as a lost block so
+      // lineage re-materializes instead of crashing.
+      throw ShuffleBlockLostError({this->id()});
+    }
+    return *std::move(records);
+  }
+
+  PartitionPtr LocalBlock(int i) {
     auto r = this->ctx()->block_manager().Get({this->id(), i});
     if (r.data == nullptr) {
       // Fetch failure: this shuffle's output was dropped after the job
@@ -810,7 +843,7 @@ class ShuffleNode final : public Node<std::pair<K, V>> {
       // running job must re-materialize this stage from lineage first.
       throw ShuffleBlockLostError({this->id()});
     }
-    return *std::static_pointer_cast<const std::vector<Record>>(r.data);
+    return std::static_pointer_cast<const std::vector<Record>>(r.data);
   }
 
  private:
@@ -1154,6 +1187,41 @@ class PairRdd {
     auto node = std::make_shared<internal::ShuffleNode<K, V>>(
         ctx(), rdd_.node_ptr(), p, std::move(fn), "reduceByKey");
     return PairRdd<K, V>(Rdd<Record>(node), p);
+  }
+
+  /// Shuffle + k-way reduce: `fn(values)` sees every value of one key at
+  /// once, in map-partition order (so the result is deterministic), and
+  /// returns the key's reduced value, or nullopt to drop the key. For
+  /// reductions whose pairwise form would re-merge a growing intermediate
+  /// once per value. The shuffle stage is labelled reduceByKey.
+  template <typename Fn,
+            typename W = typename std::invoke_result_t<
+                Fn, const std::vector<const V*>&>::value_type>
+  PairRdd<K, W> ReduceGroupsByKey(
+      Fn fn, std::shared_ptr<Partitioner<K>> p = nullptr) const {
+    if (p == nullptr) p = DefaultPartitioner();
+    auto shuffled = std::make_shared<internal::ShuffleNode<K, V>>(
+        ctx(), rdd_.node_ptr(), p, nullptr, "reduceByKey");
+    auto reduced = Rdd<Record>(shuffled).template MapPartitionsWithIndex<
+        std::pair<K, W>>(
+        [fn = std::move(fn)](int, const std::vector<Record>& in) {
+          // Groups keep first-arrival order; values keep arrival order.
+          std::unordered_map<K, size_t> slot;
+          std::vector<std::pair<K, std::vector<const V*>>> groups;
+          for (const auto& [k, v] : in) {
+            auto [it, fresh] = slot.try_emplace(k, groups.size());
+            if (fresh) groups.emplace_back(k, std::vector<const V*>());
+            groups[it->second].second.push_back(&v);
+          }
+          std::vector<std::pair<K, W>> out;
+          out.reserve(groups.size());
+          for (const auto& [k, values] : groups) {
+            if (auto w = fn(values)) out.emplace_back(k, *std::move(w));
+          }
+          return out;
+        },
+        "reduceGroups");
+    return PairRdd<K, W>(std::move(reduced), p);
   }
 
   /// Shuffle + gather all values per key.

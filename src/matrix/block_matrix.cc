@@ -2,41 +2,139 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <unordered_map>
 
 namespace spangle {
 
 namespace {
 
-/// Partial product of one tile pair, addressed by output tile id.
-/// Cells are offset-sorted; merging is a sorted merge-add.
+/// One output tile's share of a product from one join partition: the
+/// cells it touched and their sums in offset order. No byte codec, so in
+/// DISTRIBUTED mode the gather shuffle keeps partials in the driver
+/// instead of shipping them to the executor daemons.
 struct TilePartial {
-  std::vector<std::pair<uint32_t, double>> cells;
+  Bitmask mask;
+  std::vector<double> values;
 
   size_t SerializedBytes() const {
-    return cells.size() * (sizeof(uint32_t) + sizeof(double));
+    return mask.SerializedBytes() + values.size() * sizeof(double);
   }
 };
 
-TilePartial MergePartials(const TilePartial& a, const TilePartial& b) {
-  TilePartial out;
-  out.cells.reserve(a.cells.size() + b.cells.size());
-  size_t i = 0, j = 0;
-  while (i < a.cells.size() && j < b.cells.size()) {
-    if (a.cells[i].first < b.cells[j].first) {
-      out.cells.push_back(a.cells[i++]);
-    } else if (b.cells[j].first < a.cells[i].first) {
-      out.cells.push_back(b.cells[j++]);
-    } else {
-      out.cells.emplace_back(a.cells[i].first,
-                             a.cells[i].second + b.cells[j].second);
-      ++i;
-      ++j;
+/// Dense accumulator for one output tile plus a bitmask of the cells it
+/// touched. One lives per worker thread and serves every tile product and
+/// partial sum that thread runs: Drain() hands out the touched cells and
+/// leaves the accumulator all-zero again, so no tile pair allocates or
+/// zeroes a bs² buffer.
+class TileAccumulator {
+ public:
+  /// This thread's accumulator, sized for `num_cells`-cell tiles. Call
+  /// once per accumulate-then-drain cycle.
+  static TileAccumulator& ForThread(uint32_t num_cells) {
+    thread_local TileAccumulator acc;
+    acc.Acquire(num_cells);
+    return acc;
+  }
+
+  void Add(uint32_t offset, double v) {
+    values_[offset] += v;
+    touched_.Set(offset);
+  }
+
+  /// Adds every cell of `p`.
+  void Add(const TilePartial& p) {
+    touched_.OrWith(p.mask);
+    size_t idx = 0;
+    p.mask.ForEachSetBit([&](size_t off) { values_[off] += p.values[idx++]; });
+  }
+
+  /// Hands out the touched cells with a non-zero sum (exact zeros are
+  /// cancellations, not stored cells) as a mask plus values in offset
+  /// order, and resets the accumulator.
+  TilePartial Drain() {
+    TilePartial out{touched_, std::vector<double>(touched_.CountAll())};
+    size_t n = 0;
+    touched_.ForEachSetBit([&](size_t off) {
+      const double v = values_[off];
+      values_[off] = 0.0;
+      out.values[n] = v;
+      if (v != 0.0) {
+        ++n;
+      } else {
+        out.mask.Clear(off);
+      }
+    });
+    out.values.resize(n);
+    touched_.ClearAll();
+    in_use_ = false;
+    return out;
+  }
+
+ private:
+  void Acquire(uint32_t num_cells) {
+    // A cycle that never drained (it threw) left stale sums: start over.
+    if (values_.size() != num_cells || in_use_) {
+      values_.assign(num_cells, 0.0);
+      touched_ = Bitmask(num_cells);
+    }
+    in_use_ = true;
+  }
+
+  std::vector<double> values_;
+  Bitmask touched_;
+  bool in_use_ = false;
+};
+
+/// A right-hand tile in CSR form. Its cells arrive offset-sorted, i.e.
+/// row-major, so row j is cells[row_start[j], row_start[j + 1]) as
+/// (column, value) pairs.
+struct TileCsr {
+  std::vector<uint32_t> row_start;
+  std::vector<std::pair<uint32_t, double>> cells;
+};
+
+TileCsr RightCsr(const Chunk& b, uint32_t bs) {
+  TileCsr csr;
+  csr.row_start.assign(bs + 1, 0);
+  csr.cells.reserve(b.num_valid());
+  b.ForEachValid([&](uint32_t off, double v) {
+    ++csr.row_start[off / bs + 1];
+    csr.cells.emplace_back(off % bs, v);
+  });
+  for (uint32_t j = 0; j < bs; ++j) csr.row_start[j + 1] += csr.row_start[j];
+  return csr;
+}
+
+/// A left-hand tile flattened to its valid cells, each with the base
+/// offset of its output row and its contraction column, so the product's
+/// hot loop neither divides nor walks a bitmask.
+struct LeftCell {
+  uint32_t out_row;
+  uint32_t j;
+  double v;
+};
+
+std::vector<LeftCell> LeftCells(const Chunk& a, uint32_t bs) {
+  std::vector<LeftCell> cells;
+  cells.reserve(a.num_valid());
+  a.ForEachValid([&](uint32_t off, double v) {
+    cells.push_back({off - off % bs, off % bs, v});
+  });
+  return cells;
+}
+
+/// Gustavson product a x b into `acc`: each valid a[r, j] scales row j of
+/// b into output row r. Invalid (zero) cells of either tile never appear,
+/// which is the "skip the pair when either operand is zero" rule of
+/// Fig. 5.
+void AccumulateProduct(const std::vector<LeftCell>& a, const TileCsr& b,
+                       TileAccumulator* acc) {
+  for (const LeftCell& c : a) {
+    for (uint32_t k = b.row_start[c.j]; k < b.row_start[c.j + 1]; ++k) {
+      acc->Add(c.out_row + b.cells[k].first, c.v * b.cells[k].second);
     }
   }
-  while (i < a.cells.size()) out.cells.push_back(a.cells[i++]);
-  while (j < b.cells.size()) out.cells.push_back(b.cells[j++]);
-  return out;
 }
 
 Chunk TileFromSortedCells(uint32_t cells_per_tile,
@@ -45,49 +143,86 @@ Chunk TileFromSortedCells(uint32_t cells_per_tile,
   return Chunk::FromCells(cells_per_tile, std::move(cells), mode);
 }
 
+/// A tile keyed by contraction index j: (j, (row or column block, tile)).
+using KeyedTile = std::pair<uint64_t, std::pair<uint64_t, Chunk>>;
+
+/// Map side of Multiply for one join partition: pairs every left tile
+/// with every right tile of the same contraction index and sums each
+/// output tile's pair products in one accumulator pass. Pairs run by
+/// output tile, then in arrival order, so partials are deterministic.
+/// Each tile is indexed (flattened or CSR) once, on first use.
+std::vector<std::pair<ChunkId, TilePartial>> MultiplyPartition(
+    const std::vector<KeyedTile>& left, const std::vector<KeyedTile>& right,
+    uint32_t bs, uint64_t out_nrb) {
+  std::unordered_map<uint64_t, std::vector<size_t>> left_by_j;
+  for (size_t i = 0; i < left.size(); ++i) {
+    left_by_j[left[i].first].push_back(i);
+  }
+  struct TilePair {
+    ChunkId out;
+    size_t a;  // index into `left`
+    size_t b;  // index into `right`
+  };
+  std::vector<TilePair> pairs;
+  for (size_t r = 0; r < right.size(); ++r) {
+    auto it = left_by_j.find(right[r].first);
+    if (it == left_by_j.end()) continue;
+    for (size_t l : it->second) {
+      pairs.push_back(
+          {left[l].second.first + right[r].second.first * out_nrb, l, r});
+    }
+  }
+  std::stable_sort(pairs.begin(), pairs.end(),
+                   [](const TilePair& x, const TilePair& y) {
+                     return x.out < y.out;
+                   });
+  std::vector<std::vector<LeftCell>> left_cells(left.size());
+  std::vector<TileCsr> right_csr(right.size());
+  std::vector<std::pair<ChunkId, TilePartial>> out;
+  for (size_t i = 0; i < pairs.size();) {
+    const ChunkId id = pairs[i].out;
+    TileAccumulator& acc = TileAccumulator::ForThread(bs * bs);
+    for (; i < pairs.size() && pairs[i].out == id; ++i) {
+      const TilePair& pair = pairs[i];
+      if (left_cells[pair.a].empty()) {
+        left_cells[pair.a] = LeftCells(left[pair.a].second.second, bs);
+      }
+      if (right_csr[pair.b].row_start.empty()) {
+        right_csr[pair.b] = RightCsr(right[pair.b].second.second, bs);
+      }
+      AccumulateProduct(left_cells[pair.a], right_csr[pair.b], &acc);
+    }
+    out.emplace_back(id, acc.Drain());
+  }
+  return out;
+}
+
+/// Reduce side of Multiply: sums every partial of one output tile in one
+/// accumulator pass, in the order given, and builds the tile; nullopt
+/// when every cell cancelled.
+std::optional<Chunk> SumPartials(
+    const std::vector<const TilePartial*>& partials, uint32_t cpt) {
+  TileAccumulator& acc = TileAccumulator::ForThread(cpt);
+  for (const TilePartial* p : partials) acc.Add(*p);
+  TilePartial sum = acc.Drain();
+  if (sum.values.empty()) return std::nullopt;
+  const ChunkMode mode = Chunk::ChooseMode(cpt, sum.values.size());
+  return Chunk::FromMask(std::move(sum.mask), std::move(sum.values), mode);
+}
+
 }  // namespace
 
 std::vector<std::pair<uint32_t, double>> MultiplyTiles(const Chunk& a,
                                                        const Chunk& b,
                                                        uint32_t bs) {
-  // Index the right tile by row so each left cell (r, j) streams through
-  // row j of b. Invalid (zero) cells never appear: the bitmask iteration
-  // is the "skip the pair when either operand is zero" rule of Fig. 5.
-  std::vector<std::vector<std::pair<uint32_t, double>>> b_rows(bs);
-  b.ForEachValid([&](uint32_t off, double v) {
-    b_rows[off / bs].emplace_back(off % bs, v);
-  });
-  // Very sparse tile pairs accumulate into a hash map; denser ones into a
-  // dense buffer with a touched-bitmask (avoids allocating bs*bs doubles
-  // for a handful of products).
-  const uint64_t product_bound = a.num_valid() * b.num_valid();
-  if (product_bound * 8 < static_cast<uint64_t>(bs) * bs) {
-    std::unordered_map<uint32_t, double> acc;
-    a.ForEachValid([&](uint32_t off, double av) {
-      const uint32_t base = (off / bs) * bs;
-      for (const auto& [c, bv] : b_rows[off % bs]) {
-        acc[base + c] += av * bv;
-      }
-    });
-    std::vector<std::pair<uint32_t, double>> out(acc.begin(), acc.end());
-    std::sort(out.begin(), out.end());
-    return out;
-  }
-  std::vector<double> acc(static_cast<size_t>(bs) * bs, 0.0);
-  Bitmask touched(static_cast<size_t>(bs) * bs);
-  a.ForEachValid([&](uint32_t off, double av) {
-    const uint32_t r = off / bs;
-    const uint32_t j = off % bs;
-    const uint32_t base = r * bs;
-    for (const auto& [c, bv] : b_rows[j]) {
-      acc[base + c] += av * bv;
-      touched.Set(base + c);
-    }
-  });
+  TileAccumulator& acc = TileAccumulator::ForThread(bs * bs);
+  AccumulateProduct(LeftCells(a, bs), RightCsr(b, bs), &acc);
+  const TilePartial product = acc.Drain();
   std::vector<std::pair<uint32_t, double>> out;
-  out.reserve(touched.CountAll());
-  touched.ForEachSetBit([&](size_t off) {
-    out.emplace_back(static_cast<uint32_t>(off), acc[off]);
+  out.reserve(product.values.size());
+  size_t idx = 0;
+  product.mask.ForEachSetBit([&](size_t off) {
+    out.emplace_back(static_cast<uint32_t>(off), product.values[idx++]);
   });
   return out;
 }
@@ -292,72 +427,55 @@ Result<BlockMatrix> BlockMatrix::Multiply(const BlockMatrix& other,
   if (block_ != other.block_) {
     return Status::InvalidArgument("operands must share a block size");
   }
-  Context* ctx = this->ctx();
   const uint64_t nrb_a = num_row_blocks();
   const uint64_t nrb_b = other.num_row_blocks();
   const uint32_t bs = static_cast<uint32_t>(block_);
 
   // Scatter: key the left matrix by its column block (the contraction
   // index j) and the right by its row block.
-  using Keyed = std::pair<uint64_t, std::pair<uint64_t, Chunk>>;
-  auto a_by_j = ToPair<uint64_t, std::pair<uint64_t, Chunk>>(
-      array_.chunks().AsRdd().Map(
-          [nrb_a](const std::pair<ChunkId, Chunk>& rec) {
-            return Keyed{rec.first / nrb_a, {rec.first % nrb_a, rec.second}};
-          }));
-  auto b_by_j = ToPair<uint64_t, std::pair<uint64_t, Chunk>>(
-      other.array().chunks().AsRdd().Map(
-          [nrb_b](const std::pair<ChunkId, Chunk>& rec) {
-            return Keyed{rec.first % nrb_b, {rec.first / nrb_b, rec.second}};
-          }));
+  Rdd<KeyedTile> a_by_j = array_.chunks().AsRdd().Map(
+      [nrb_a](const std::pair<ChunkId, Chunk>& rec) {
+        return KeyedTile{rec.first / nrb_a, {rec.first % nrb_a, rec.second}};
+      });
+  Rdd<KeyedTile> b_by_j = other.array().chunks().AsRdd().Map(
+      [nrb_b](const std::pair<ChunkId, Chunk>& rec) {
+        return KeyedTile{rec.first % nrb_b, {rec.first / nrb_b, rec.second}};
+      });
 
   // Local join (Sec. VI-A): when the left matrix is placed by column
   // block and the right by row block with equal partition counts, record
   // placement is already a function of j, so the join needs no shuffle.
+  // Otherwise both sides shuffle to j mod P: with at least as many
+  // partitions as contraction blocks, every join task gets at most one j.
   const bool local_ok =
       !options.force_shuffle_join &&
       scheme_ == PartitionScheme::kByColBlock &&
       other.scheme() == PartitionScheme::kByRowBlock &&
       array_.chunks().num_partitions() ==
           other.array().chunks().num_partitions();
-  if (local_ok) {
-    auto p = std::make_shared<HashPartitioner<uint64_t>>(
-        array_.chunks().num_partitions());
-    a_by_j = ToPair<uint64_t, std::pair<uint64_t, Chunk>>(a_by_j.AsRdd(), p);
-    b_by_j = ToPair<uint64_t, std::pair<uint64_t, Chunk>>(b_by_j.AsRdd(), p);
+  if (!local_ok) {
+    auto p = std::make_shared<ModuloPartitioner<uint64_t>>(
+        std::max(a_by_j.num_partitions(), b_by_j.num_partitions()));
+    a_by_j = ToPair(a_by_j).PartitionBy(p).AsRdd();
+    b_by_j = ToPair(b_by_j).PartitionBy(p).AsRdd();
   }
 
-  auto joined = a_by_j.Join(b_by_j);
+  // Join fused with the tile kernel, then gather: one shuffle by output
+  // tile, after which each tile's partials are summed in one pass.
   const uint64_t out_nrb = nrb_a;
-  // Gather: tile partial products reduce onto the output tile id.
-  auto partials = ToPair<ChunkId, TilePartial>(joined.AsRdd().Map(
-      [bs, out_nrb](
-          const std::pair<uint64_t,
-                          std::pair<std::pair<uint64_t, Chunk>,
-                                    std::pair<uint64_t, Chunk>>>& rec) {
-        const auto& [rb, a_tile] = rec.second.first;
-        const auto& [cb, b_tile] = rec.second.second;
-        TilePartial partial;
-        partial.cells = MultiplyTiles(a_tile, b_tile, bs);
-        return std::pair<ChunkId, TilePartial>(rb + cb * out_nrb,
-                                               std::move(partial));
-      }));
-  auto reduced = partials.ReduceByKey(MergePartials);
+  using Partial = std::pair<ChunkId, TilePartial>;
+  auto partials = ToPair(a_by_j.ZipPartitions<Partial, KeyedTile>(
+      b_by_j,
+      [bs, out_nrb](int, const std::vector<KeyedTile>& left,
+                    const std::vector<KeyedTile>& right) {
+        return MultiplyPartition(left, right, bs, out_nrb);
+      },
+      "join"));
   const uint32_t cpt = bs * bs;
-  auto tiles = reduced
-                   .MapValues([cpt](const TilePartial& p) {
-                     auto cells = p.cells;
-                     // Cancellation can produce explicit zeros; drop them.
-                     cells.erase(std::remove_if(cells.begin(), cells.end(),
-                                                [](const auto& c) {
-                                                  return c.second == 0.0;
-                                                }),
-                                 cells.end());
-                     return TileFromSortedCells(cpt, std::move(cells));
-                   })
-                   .Filter([](const std::pair<ChunkId, Chunk>& rec) {
-                     return rec.second.num_valid() > 0;
-                   });
+  auto tiles = partials.ReduceGroupsByKey(
+      [cpt](const std::vector<const TilePartial*>& parts) {
+        return SumPartials(parts, cpt);
+      });
   BlockMatrix out;
   out.rows_ = rows_;
   out.cols_ = other.cols_;
@@ -366,7 +484,6 @@ Result<BlockMatrix> BlockMatrix::Multiply(const BlockMatrix& other,
   out.array_ = ArrayRdd(MakeMeta(rows_, other.cols_, block_),
                         PairRdd<ChunkId, Chunk>(tiles.AsRdd(),
                                                 tiles.partitioner()));
-  (void)ctx;
   return out;
 }
 

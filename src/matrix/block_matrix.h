@@ -112,9 +112,11 @@ class BlockMatrix {
   Result<BlockMatrix> Hadamard(const BlockMatrix& other) const;
 
   /// Matrix product (scatter/gather): tiles join on the contraction block
-  /// index, partial tile products reduce by output position. When `this`
+  /// index j, partial tile products reduce by output position. When `this`
   /// is placed kByColBlock and `other` kByRowBlock with equal partition
-  /// counts, the join is local and neither matrix shuffles (Sec. VI-A).
+  /// counts, the join is local and neither matrix shuffles (Sec. VI-A);
+  /// otherwise both shuffle to partition j mod P. Cells that cancel to
+  /// exactly zero are not stored, nor are tiles left empty.
   Result<BlockMatrix> Multiply(const BlockMatrix& other,
                                const MatMulOptions& options = {}) const;
 
@@ -150,11 +152,14 @@ class BlockMatrix {
   ArrayRdd array_;
 };
 
-/// Multiplies two tiles: out[r, c] += a[r, j] * b[j, c], skipping invalid
-/// (zero) operands via the bitmasks. `bs` is the block edge length. When
-/// the left tile is sparse enough that an offset array beats its bitmask
-/// (OffsetArray::PrefersOffsets), iteration goes through offsets — the
-/// static-matrix conversion of paper Sec. V-A4. Exposed for benches.
+/// Multiplies two tiles: out[r, c] += a[r, j] * b[j, c] for every valid
+/// (non-zero) pair, so zero operands are skipped via the bitmasks (Fig. 5).
+/// `bs` is the block edge length. Gustavson kernel: b is indexed as CSR,
+/// each valid a[r, j] scales row j of b into a dense accumulator plus
+/// touched bitmask that is reused across calls on one thread and left
+/// all-zero by the drain. Returns the touched cells with a non-zero sum,
+/// offset-sorted. Exposed for benches and tests; Multiply runs the same
+/// kernel.
 std::vector<std::pair<uint32_t, double>> MultiplyTiles(const Chunk& a,
                                                        const Chunk& b,
                                                        uint32_t bs);

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "engine/engine.h"
@@ -74,6 +76,42 @@ TEST(PairRddTest, ReduceByKeyUsesMapSideCombine) {
   pairs.ReduceByKey([](const int& a, const int& b) { return a + b; }).Count();
   // 1000 records, 10 keys, 4 map tasks: at most 40 combined records move.
   EXPECT_LE(ctx.metrics().shuffle_records.load(), 40u);
+}
+
+TEST(PairRddTest, ReduceGroupsByKeySeesValuesInMapPartitionOrder) {
+  Context ctx(2);
+  // Partition p holds i in [25p, 25p + 25), so key k's values arrive as
+  // k, k + 10, ..., k + 90 when read in map-partition order.
+  auto pairs = ToPair<uint64_t, int>(ctx.Parallelize(MakePairs(100), 4));
+  auto reduced = pairs.ReduceGroupsByKey(
+      [](const std::vector<const int*>& values)
+          -> std::optional<std::vector<int>> {
+        if (*values.front() == 3) return std::nullopt;  // drops key 3
+        std::vector<int> out;
+        for (const int* v : values) out.push_back(*v);
+        return out;
+      });
+  EXPECT_NE(reduced.Explain().find("reduceByKey"), std::string::npos);
+  auto m = reduced.CollectAsMap();
+  ASSERT_EQ(m.size(), 9u);
+  EXPECT_EQ(m.count(3), 0u);
+  for (const auto& [k, values] : m) {
+    ASSERT_EQ(values.size(), 10u) << "key " << k;
+    for (int i = 0; i < 10; ++i) {
+      EXPECT_EQ(values[i], static_cast<int>(k) + 10 * i) << "key " << k;
+    }
+  }
+}
+
+TEST(PairRddTest, ShuffleOutputIsSharedNotCopied) {
+  Context ctx(2);
+  auto pairs = ToPair<uint64_t, int>(ctx.Parallelize(MakePairs(100), 4));
+  auto placed =
+      pairs.PartitionBy(std::make_shared<HashPartitioner<uint64_t>>(3));
+  placed.Count();  // materializes the shuffle
+  // LOCAL reads hand out the stored output block itself.
+  auto* node = placed.AsRdd().node();
+  EXPECT_EQ(node->GetPartition(1).get(), node->GetPartition(1).get());
 }
 
 TEST(PairRddTest, GroupByKeyGathersAll) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+
 #include "common/random.h"
 
 namespace spangle {
@@ -121,18 +124,24 @@ TEST(BlockMatrixTest, HadamardSkipsZeroPairs) {
   EXPECT_DOUBLE_EQ(h.Get(2, 2), 2.0);
 }
 
-TEST(MultiplyTilesTest, MatchesDenseReference) {
-  Rng rng(6);
-  const uint32_t bs = 16;
-  std::vector<std::pair<uint32_t, double>> ac, bc;
+std::vector<std::pair<uint32_t, double>> RandomTileCells(uint32_t bs,
+                                                          double density,
+                                                          Rng* rng) {
+  std::vector<std::pair<uint32_t, double>> cells;
   for (uint32_t i = 0; i < bs * bs; ++i) {
-    if (rng.NextBool(0.3)) ac.emplace_back(i, rng.NextDouble(-1, 1));
-    if (rng.NextBool(0.3)) bc.emplace_back(i, rng.NextDouble(-1, 1));
+    if (rng->NextBool(density)) cells.emplace_back(i, rng->NextDouble(-1, 1));
   }
-  Chunk a = Chunk::FromCells(bs * bs, ac, ChunkMode::kSparse);
-  Chunk b = Chunk::FromCells(bs * bs, bc, ChunkMode::kSparse);
-  auto cells = MultiplyTiles(a, b, bs);
-  // Dense reference.
+  return cells;
+}
+
+/// MultiplyTiles(a, b) against a dense triple loop: offsets strictly
+/// ascending, no stored zero, every cell within 1e-9 of the reference.
+void ExpectTileProductMatches(
+    const std::vector<std::pair<uint32_t, double>>& ac,
+    const std::vector<std::pair<uint32_t, double>>& bc, uint32_t bs,
+    ChunkMode mode_a, ChunkMode mode_b) {
+  Chunk a = Chunk::FromCells(bs * bs, ac, mode_a);
+  Chunk b = Chunk::FromCells(bs * bs, bc, mode_b);
   std::vector<double> da(bs * bs, 0), db(bs * bs, 0), want(bs * bs, 0);
   for (auto& [o, v] : ac) da[o] = v;
   for (auto& [o, v] : bc) db[o] = v;
@@ -143,9 +152,65 @@ TEST(MultiplyTilesTest, MatchesDenseReference) {
       }
     }
   }
+  const auto cells = MultiplyTiles(a, b, bs);
   std::vector<double> got(bs * bs, 0);
-  for (auto& [o, v] : cells) got[o] = v;
-  for (uint32_t i = 0; i < bs * bs; ++i) EXPECT_NEAR(got[i], want[i], 1e-9);
+  for (size_t i = 0; i < cells.size(); ++i) {
+    if (i > 0) EXPECT_LT(cells[i - 1].first, cells[i].first);
+    EXPECT_NE(cells[i].second, 0.0) << "offset " << cells[i].first;
+    got[cells[i].first] = cells[i].second;
+  }
+  for (uint32_t i = 0; i < bs * bs; ++i) {
+    EXPECT_NEAR(got[i], want[i], 1e-9) << "offset " << i;
+  }
+}
+
+TEST(MultiplyTilesTest, MatchesDenseReference) {
+  Rng rng(6);
+  const uint32_t bs = 16;
+  std::vector<std::pair<uint32_t, double>> ac, bc;
+  for (uint32_t i = 0; i < bs * bs; ++i) {
+    if (rng.NextBool(0.3)) ac.emplace_back(i, rng.NextDouble(-1, 1));
+    if (rng.NextBool(0.3)) bc.emplace_back(i, rng.NextDouble(-1, 1));
+  }
+  for (ChunkMode mode_a : {ChunkMode::kDense, ChunkMode::kSparse,
+                           ChunkMode::kSuperSparse}) {
+    for (ChunkMode mode_b : {ChunkMode::kDense, ChunkMode::kSparse,
+                             ChunkMode::kSuperSparse}) {
+      SCOPED_TRACE(std::string(ChunkModeName(mode_a)) + " x " +
+                   ChunkModeName(mode_b));
+      ExpectTileProductMatches(ac, bc, bs, mode_a, mode_b);
+    }
+  }
+}
+
+TEST(MultiplyTilesTest, VerySparseTilesMatchDenseReference) {
+  // A handful of products in a 4096-cell tile, where the dense
+  // accumulator stays almost empty. Includes a pair with no shared index.
+  Rng rng(8);
+  const uint32_t bs = 64;
+  const auto ac = RandomTileCells(bs, 0.005, &rng);
+  const auto bc = RandomTileCells(bs, 0.005, &rng);
+  ExpectTileProductMatches(ac, bc, bs, ChunkMode::kSuperSparse,
+                           ChunkMode::kSuperSparse);
+  // a's only cell sits in column 5; b has nothing in row 5.
+  Chunk a = Chunk::FromCells(bs * bs, {{3 * bs + 5, 2.0}},
+                             ChunkMode::kSuperSparse);
+  Chunk b = Chunk::FromCells(bs * bs, {{4 * bs + 1, 3.0}},
+                             ChunkMode::kSuperSparse);
+  EXPECT_TRUE(MultiplyTiles(a, b, bs).empty());
+}
+
+TEST(MultiplyTilesTest, ReusedAccumulatorCarriesNothingAcrossCalls) {
+  // Consecutive calls on one thread share the kernel's accumulator; each
+  // must see only its own products, including across a block-size change.
+  Rng rng(9);
+  for (uint32_t bs : {16u, 16u, 8u, 8u, 32u, 16u}) {
+    SCOPED_TRACE("bs=" + std::to_string(bs));
+    const auto ac = RandomTileCells(bs, 0.4, &rng);
+    const auto bc = RandomTileCells(bs, 0.4, &rng);
+    ExpectTileProductMatches(ac, bc, bs, ChunkMode::kSparse,
+                             ChunkMode::kDense);
+  }
 }
 
 class MultiplyShapeTest
@@ -210,6 +275,83 @@ TEST(BlockMatrixTest, LocalJoinMultiplyShufflesLess) {
   EXPECT_LT(local_bytes, forced_bytes);
   // Same numbers either way.
   ExpectDenseNear(local.ToDense(), shuffled.ToDense());
+}
+
+TEST(BlockMatrixTest, MultiplyDropsExactCancellations) {
+  // Integer entries make the cancellations exact. With 2x2 tiles:
+  //   C(0,0) = 1 - 1 and C(1,1) = 3 - 3 cancel across contraction tiles
+  //   (in the gather), C(2,0) = 1 - 1 inside one tile pair (in the
+  //   kernel), and output tile (row block 0, col block 1) cancels whole.
+  const std::vector<MatrixEntry> ea = {
+      {0, 0, 1}, {0, 2, 1}, {1, 1, 1}, {1, 3, 1}, {2, 0, 1}, {2, 1, 1}};
+  const std::vector<MatrixEntry> eb = {
+      {0, 0, 1},  {0, 1, 2},  {0, 2, 5}, {1, 0, -1}, {1, 1, 3},
+      {2, 0, -1}, {2, 2, -5}, {3, 1, -3}};
+  const std::vector<double> want = {0, 2, 0, 0,  //
+                                    -1, 0, 0, 0,  //
+                                    0, 5, 5, 0,  //
+                                    0, 0, 0, 0};
+  for (bool force_shuffle : {false, true}) {
+    SCOPED_TRACE(force_shuffle ? "shuffle join" : "default join");
+    Context ctx(2);
+    auto a = *BlockMatrix::FromEntries(&ctx, 4, 4, 2, ea, ModePolicy::Auto(),
+                                       PartitionScheme::kByColBlock, 2);
+    auto b = *BlockMatrix::FromEntries(&ctx, 4, 4, 2, eb, ModePolicy::Auto(),
+                                       PartitionScheme::kByRowBlock, 2);
+    auto c = *a.Multiply(b, {.force_shuffle_join = force_shuffle});
+    EXPECT_EQ(c.ToDense(), want);
+    EXPECT_EQ(c.NumNonZero(), 4u) << "cancelled cells are not stored";
+    for (const auto& [id, tile] : c.array().chunks().Collect()) {
+      EXPECT_NE(id, 2u) << "fully cancelled tile must be absent";
+      tile.ForEachValid([](uint32_t off, double v) {
+        EXPECT_NE(v, 0.0) << "offset " << off;
+      });
+    }
+  }
+}
+
+TEST(BlockMatrixTest, ShuffleJoinGivesEachPartitionOneContractionIndex) {
+  // 8 contraction blocks on 8 join partitions: each partition must get
+  // exactly one j. Hashing 8 consecutive keys onto 8 partitions collides
+  // and leaves a partition idle.
+  Context ctx(2);
+  const uint64_t n = 64, bs = 8;
+  const int parts = 8;
+  auto a = *BlockMatrix::FromEntries(&ctx, n, n, bs,
+                                     RandomEntries(n, n, 0.2, 14),
+                                     ModePolicy::Auto(),
+                                     PartitionScheme::kHashChunk, parts);
+  auto b = *BlockMatrix::FromEntries(&ctx, n, n, bs,
+                                     RandomEntries(n, n, 0.2, 15),
+                                     ModePolicy::Auto(),
+                                     PartitionScheme::kHashChunk, parts);
+  ASSERT_EQ(a.num_col_blocks(), static_cast<uint64_t>(parts));
+  auto c = *a.Multiply(b, {.force_shuffle_join = true});
+  c.NumNonZero();  // materializes the scatter shuffles
+
+  // Both scatter shuffles key tiles by j: (j, (row/col block, tile)).
+  using KeyedTile = std::pair<uint64_t, std::pair<uint64_t, Chunk>>;
+  std::vector<internal::NodeBase*> stack = {c.array().chunks().AsRdd().node()};
+  int scatters = 0;
+  while (!stack.empty()) {
+    internal::NodeBase* node = stack.back();
+    stack.pop_back();
+    for (internal::NodeBase* parent : node->Parents()) stack.push_back(parent);
+    if (node->name() != "partitionBy") continue;
+    auto* keyed = dynamic_cast<internal::Node<KeyedTile>*>(node);
+    ASSERT_NE(keyed, nullptr);
+    ASSERT_EQ(keyed->num_partitions(), parts);
+    ++scatters;
+    std::set<uint64_t> seen;
+    for (int p = 0; p < parts; ++p) {
+      std::set<uint64_t> js;
+      for (const auto& rec : *keyed->GetPartition(p)) js.insert(rec.first);
+      EXPECT_EQ(js.size(), 1u) << "partition " << p;
+      seen.insert(js.begin(), js.end());
+    }
+    EXPECT_EQ(seen.size(), static_cast<size_t>(parts));
+  }
+  EXPECT_EQ(scatters, 2);
 }
 
 TEST(BlockMatrixTest, MultiplyVectorMatchesReference) {

@@ -145,6 +145,37 @@ TEST(DistributedModeTest, MatmulMatchesLocalBitExactly) {
   EXPECT_EQ(multiply(&dist), multiply(&local));
 }
 
+TEST(DistributedModeTest, TransposeSelfMultiplyMatchesLocalBitExactly) {
+  // Fig. 10's MᵀM on super-sparse 64x64 tiles (~41 of 4096 cells): four
+  // contraction blocks, so the gather sums several partials per output
+  // tile and its summation order must not depend on the data plane.
+  Rng rng(13);
+  std::vector<MatrixEntry> entries;
+  for (uint64_t r = 0; r < 256; ++r) {
+    for (uint64_t c = 0; c < 256; ++c) {
+      if (rng.NextBool(0.01)) entries.push_back({r, c, rng.NextDouble(-2, 2)});
+    }
+  }
+  auto mtm = [&](Context* ctx) {
+    auto m = *BlockMatrix::FromEntries(ctx, 256, 256, 64, entries);
+    for (const auto& [id, tile] : m.array().chunks().Collect()) {
+      EXPECT_EQ(tile.mode(), ChunkMode::kSuperSparse) << "tile " << id;
+    }
+    return *m.TransposeSelfMultiply();
+  };
+  Context local(2, 4);
+  Context dist(2, 4, 0, {}, Distributed(2));
+  const BlockMatrix want = mtm(&local);
+  const AnalyzedPlan plan = want.ExplainAnalyzePlan("count");
+  const AnalyzedNode* gather = plan.Find("reduceGroups");
+  ASSERT_NE(gather, nullptr) << plan.ToString();
+  EXPECT_GT(gather->actuals.rows_out, 0u);
+  EXPECT_GE(gather->actuals.rows_in, 3 * gather->actuals.rows_out)
+      << "want >= 3 partials per output tile\n" << plan.ToString();
+  EXPECT_EQ(mtm(&dist).ToDense(), want.ToDense());
+  EXPECT_GT(dist.metrics().remote_shuffle_fetches.load(), 0u);
+}
+
 TEST(DistributedChaosTest, ChaosSigkillMidJobRecoversThroughLineage) {
   const int kill_target = static_cast<int>(BaseSeed() % 2);
   SCOPED_TRACE("kill_target=" + std::to_string(kill_target) +
