@@ -39,7 +39,7 @@ struct StorageOptions {
 /// partition in the system — node caches and shuffle outputs — lives
 /// here, keyed by (node, partition). The manager accounts each block's
 /// estimated bytes, enforces the memory budget with LRU eviction, spills
-/// MEMORY_AND_DISK blocks to length-prefixed files, and models executor
+/// MEMORY_AND_DISK blocks to chunk-frame files, and models executor
 /// loss: each partition is "resident" on worker (partition % workers),
 /// and FailExecutor(w) discards every block — memory and local disk —
 /// that lived on w. Lost recomputable blocks are remembered so lineage

@@ -16,6 +16,8 @@
 #include <vector>
 
 #include "codec/columnar.h"
+#include "codec/frame_file.h"
+#include "codec/record_codec.h"
 #include "common/logging.h"
 #include "common/mutex.h"
 #include "common/random.h"
@@ -28,7 +30,6 @@
 #include "engine/runtime_profile.h"
 #include "engine/scheduler.h"
 #include "engine/size_estimator.h"
-#include "engine/spill_codec.h"
 #include "engine/storage_level.h"
 #include "engine/trace.h"
 #include "net/deployment.h"
@@ -405,7 +406,7 @@ class Node : public NodeBase {
   /// degrade to MEMORY_ONLY (lineage recompute) with a warning.
   void EnableCache(StorageLevel level = StorageLevel::kMemoryOnly) {
     if (level == StorageLevel::kNone) level = StorageLevel::kMemoryOnly;
-    if constexpr (!spill::kSpillable<T>) {
+    if constexpr (!codec::kSpillable<T>) {
       if (level != StorageLevel::kMemoryOnly) {
         SPANGLE_LOG(Warning)
             << "storage level " << ToString(level) << " on node '" << name()
@@ -455,7 +456,7 @@ class Node : public NodeBase {
   /// block has on the wire) and credit the codec counters; non-static so
   /// the closure can reach this context's metrics.
   BlockManager::SpillFn MakeSpillFn() {
-    if constexpr (spill::kSpillable<T>) {
+    if constexpr (codec::kSpillable<T>) {
       EngineMetrics* metrics = &ctx()->metrics();
       return [metrics](const void* data, const std::string& path) -> uint64_t {
         const codec::EncodedFrame frame = EncodePartitionTimed(
@@ -471,13 +472,13 @@ class Node : public NodeBase {
   }
 
   static BlockManager::LoadFn MakeLoadFn() {
-    if constexpr (spill::kSpillable<T>) {
+    if constexpr (codec::kSpillable<T>) {
       return [](const std::string& path) -> BlockManager::DataPtr {
         // Decodes straight out of a transient mmap of the frame file
         // (ReadPartitionFile) into owned vectors, so the re-admitted
         // payload has no mapped bytes.
         return std::make_shared<const std::vector<T>>(
-            spill::ReadPartitionFile<T>(path));
+            codec::ReadPartitionFile<T>(path));
       };
     } else {
       return nullptr;
@@ -666,7 +667,7 @@ class ShuffleNode final : public Node<std::pair<K, V>> {
       MutexLock lock(&mu_);
       if (!materialized_) return false;
     }
-    if constexpr (spill::kSpillable<Record>) {
+    if constexpr (codec::kSpillable<Record>) {
       if (this->ctx()->distributed()) {
         return this->ctx()->remote_shuffle()->ContainsAll(this->id(),
                                                           num_partitions());
@@ -746,7 +747,7 @@ class ShuffleNode final : public Node<std::pair<K, V>> {
       }
     }, attempt);
     ctx->metrics().shuffles.fetch_add(1);
-    if constexpr (spill::kSpillable<Record>) {
+    if constexpr (codec::kSpillable<Record>) {
       if (ctx->distributed()) {
         // DISTRIBUTED data plane: each output partition becomes one
         // chunk frame shipped verbatim to its owner daemon; nothing
@@ -799,7 +800,7 @@ class ShuffleNode final : public Node<std::pair<K, V>> {
 
  protected:
   std::vector<Record> ComputePartition(int i) override {
-    if constexpr (spill::kSpillable<Record>) {
+    if constexpr (codec::kSpillable<Record>) {
       if (this->ctx()->distributed()) return FetchRemote(i);
     }
     return *LocalBlock(i);
@@ -807,7 +808,7 @@ class ShuffleNode final : public Node<std::pair<K, V>> {
 
   /// LOCAL reads share the stored block instead of copying it.
   PartitionPtr ComputeShared(int i) override {
-    if constexpr (spill::kSpillable<Record>) {
+    if constexpr (codec::kSpillable<Record>) {
       if (this->ctx()->distributed()) {
         return std::make_shared<const std::vector<Record>>(FetchRemote(i));
       }

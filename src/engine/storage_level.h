@@ -9,13 +9,16 @@ namespace spangle {
 ///  * kMemoryOnly    — kept on-heap; under memory pressure the block is
 ///                     dropped and the next access recomputes it.
 ///  * kMemoryAndDisk — kept on-heap; under memory pressure the block is
-///                     spilled to a local file (length-prefixed records,
-///                     the disk_persist.h format) and read back on demand.
-///  * kDiskOnly      — written straight to disk and never held in memory;
-///                     every access streams the file back.
+///                     spilled to a local chunk-frame file
+///                     (codec/frame_file.h) and read back on demand.
+///  * kDiskOnly      — written straight to disk as a chunk-frame file and
+///                     never held in memory; every access reads the file
+///                     back. Lineage is kept, so a block lost with its
+///                     executor recomputes.
 ///
 /// Levels that require disk need a spillable record type (see
-/// spill_codec.h); otherwise they degrade to kMemoryOnly with a warning.
+/// codec::kSpillable in codec/record_codec.h); otherwise they degrade to
+/// kMemoryOnly with a warning.
 enum class StorageLevel {
   kNone = 0,
   kMemoryOnly,

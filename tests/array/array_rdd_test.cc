@@ -176,5 +176,54 @@ TEST(ArrayRddTest, WithMetadataTransposesVectorCheaply) {
   EXPECT_EQ(t.CountValid(), 16u);
 }
 
+// Arrays persist to disk through the BlockManager's DISK_ONLY level: the
+// same chunk-frame files as eviction spill, with lineage kept behind them.
+ArrayRdd DiskOnlyArray(Context* ctx, std::vector<CellValue>* cells) {
+  auto meta = *ArrayMetadata::Make({{"x", 0, 64, 16, 0}});
+  for (int64_t x = 0; x < 64; x += 3) cells->push_back({{x}, double(x)});
+  auto array = *ArrayRdd::FromCells(ctx, meta, *cells);
+  array.Cache(StorageLevel::kDiskOnly);
+  return array;
+}
+
+TEST(DiskPersistTest, ArraySpillRoundTrip) {
+  Context ctx(2);
+  std::vector<CellValue> cells;
+  auto spilled = DiskOnlyArray(&ctx, &cells);
+  EXPECT_EQ(spilled.CountValid(), cells.size());
+  EXPECT_GT(ctx.metrics().spilled_bytes.load(), 0u);
+
+  // The second action streams the chunks back from disk.
+  ctx.metrics().Reset();
+  EXPECT_DOUBLE_EQ(*spilled.GetCell({33}), 33.0);
+  EXPECT_TRUE(spilled.GetCell({34}).status().IsNotFound());
+  EXPECT_GT(ctx.metrics().disk_reads.load(), 0u);
+  EXPECT_EQ(ctx.metrics().recomputed_partitions.load(), 0u);
+  // DISK_ONLY blocks are never resident, not even after a readback.
+  EXPECT_EQ(ctx.block_manager().num_resident_blocks(), 0u);
+  EXPECT_EQ(ctx.block_manager().bytes_in_memory(), 0u);
+  // Persisting keeps the partitioner: point queries stay single-task.
+  EXPECT_TRUE(spilled.chunks().partitioner() != nullptr);
+}
+
+TEST(DiskPersistTest, LostDiskOnlyChunksRecomputeFromLineage) {
+  Context ctx(2);
+  std::vector<CellValue> cells;
+  auto spilled = DiskOnlyArray(&ctx, &cells);
+  const std::vector<CellValue> first = spilled.CollectCells();
+  ASSERT_EQ(first.size(), cells.size());
+
+  // Worker 1's local disk dies with it; its partitions recompute.
+  ctx.FailExecutor(1);
+  ctx.metrics().Reset();
+  const std::vector<CellValue> again = spilled.CollectCells();
+  ASSERT_EQ(again.size(), first.size());
+  for (size_t i = 0; i < first.size(); ++i) {
+    EXPECT_EQ(again[i].pos, first[i].pos);
+    EXPECT_EQ(again[i].value, first[i].value);
+  }
+  EXPECT_GT(ctx.metrics().recomputed_partitions.load(), 0u);
+}
+
 }  // namespace
 }  // namespace spangle

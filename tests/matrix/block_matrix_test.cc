@@ -155,7 +155,9 @@ void ExpectTileProductMatches(
   const auto cells = MultiplyTiles(a, b, bs);
   std::vector<double> got(bs * bs, 0);
   for (size_t i = 0; i < cells.size(); ++i) {
-    if (i > 0) EXPECT_LT(cells[i - 1].first, cells[i].first);
+    if (i > 0) {
+      EXPECT_LT(cells[i - 1].first, cells[i].first);
+    }
     EXPECT_NE(cells[i].second, 0.0) << "offset " << cells[i].first;
     got[cells[i].first] = cells[i].second;
   }

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <random>
 #include <string>
 #include <vector>
@@ -47,25 +48,6 @@ TEST(MessageCodec, ErrorResponseRejectsBogusCode) {
   auto parsed = ErrorResponse::Parse(bytes.data(), bytes.size());
   ASSERT_TRUE(parsed.ok());
   EXPECT_EQ(parsed->ToStatus().code(), StatusCode::kInternal);
-}
-
-TEST(MessageCodec, DispatchTaskRoundTrip) {
-  DispatchTaskRequest req;
-  req.stage = "reduceByKey/map";
-  req.task = 7;
-  req.attempt = 2;
-  req.task_kind = "echo";
-  req.payload = std::string("\x00\x01\xff payload", 12);
-  const DispatchTaskRequest got = RoundTrip(req);
-  EXPECT_EQ(got.stage, req.stage);
-  EXPECT_EQ(got.task, 7);
-  EXPECT_EQ(got.attempt, 2);
-  EXPECT_EQ(got.task_kind, "echo");
-  EXPECT_EQ(got.payload, req.payload);
-
-  DispatchTaskResponse resp;
-  resp.result = "ok";
-  EXPECT_EQ(RoundTrip(resp).result, "ok");
 }
 
 TEST(MessageCodec, BlockMessagesRoundTrip) {
@@ -118,34 +100,25 @@ TEST(MessageCodec, HeartbeatAndShutdownRoundTrip) {
   hbr.seq = 12;
   hbr.blocks_held = 34;
   hbr.bytes_in_memory = 56;
-  hbr.tasks_run = 78;
   const HeartbeatResponse got = RoundTrip(hbr);
   EXPECT_EQ(got.seq, 12u);
   EXPECT_EQ(got.blocks_held, 34u);
   EXPECT_EQ(got.bytes_in_memory, 56u);
-  EXPECT_EQ(got.tasks_run, 78u);
 
   RoundTrip(ShutdownRequest());
   RoundTrip(ShutdownResponse());
 }
 
 TEST(MessageCodec, TraceHeaderRoundTripsOnDataPlaneRequests) {
-  DispatchTaskRequest dispatch;
-  dispatch.stage = "s";
-  dispatch.trace.trace_id = 0x1111222233334444ULL;
-  dispatch.trace.span_id = 0x5555666677778888ULL;
-  dispatch.trace.parent_span_id = 7;
-  const DispatchTaskRequest d = RoundTrip(dispatch);
-  EXPECT_EQ(d.trace.trace_id, dispatch.trace.trace_id);
-  EXPECT_EQ(d.trace.span_id, dispatch.trace.span_id);
-  EXPECT_EQ(d.trace.parent_span_id, 7u);
-
   PutBlockRequest put;
   put.bytes = "b";
-  put.trace.trace_id = 9;
-  put.trace.span_id = 10;
-  EXPECT_EQ(RoundTrip(put).trace.trace_id, 9u);
-  EXPECT_EQ(RoundTrip(put).trace.span_id, 10u);
+  put.trace.trace_id = 0x1111222233334444ULL;
+  put.trace.span_id = 0x5555666677778888ULL;
+  put.trace.parent_span_id = 7;
+  const PutBlockRequest p = RoundTrip(put);
+  EXPECT_EQ(p.trace.trace_id, put.trace.trace_id);
+  EXPECT_EQ(p.trace.span_id, put.trace.span_id);
+  EXPECT_EQ(p.trace.parent_span_id, 7u);
 
   FetchBlockRequest fetch;
   fetch.trace.trace_id = 11;
@@ -154,9 +127,10 @@ TEST(MessageCodec, TraceHeaderRoundTripsOnDataPlaneRequests) {
   EXPECT_EQ(RoundTrip(fetch).trace.parent_span_id, 12u);
 
   // Default (untraced) headers survive as all-zero.
-  const DispatchTaskRequest untraced = RoundTrip(DispatchTaskRequest());
+  const PutBlockRequest untraced = RoundTrip(PutBlockRequest());
   EXPECT_EQ(untraced.trace.trace_id, 0u);
   EXPECT_EQ(untraced.trace.span_id, 0u);
+  EXPECT_EQ(RoundTrip(FetchBlockRequest()).trace.parent_span_id, 0u);
 }
 
 TEST(MessageCodec, StatsMessagesRoundTrip) {
@@ -169,7 +143,6 @@ TEST(MessageCodec, StatsMessagesRoundTrip) {
   resp.now_us = 123456789;
   resp.blocks_held = 3;
   resp.bytes_in_memory = 1 << 20;
-  resp.tasks_run = 17;
   resp.spans_dropped = 2;
   resp.metrics.push_back({"tasks_run", 0, 17});
   resp.metrics.push_back({"bytes_cached", 1, 4096});
@@ -185,7 +158,6 @@ TEST(MessageCodec, StatsMessagesRoundTrip) {
   EXPECT_EQ(got.now_us, resp.now_us);
   EXPECT_EQ(got.blocks_held, 3u);
   EXPECT_EQ(got.bytes_in_memory, resp.bytes_in_memory);
-  EXPECT_EQ(got.tasks_run, 17u);
   EXPECT_EQ(got.spans_dropped, 2u);
   ASSERT_EQ(got.metrics.size(), 2u);
   EXPECT_EQ(got.metrics[0].name, "tasks_run");
@@ -215,13 +187,18 @@ TEST(MessageCodec, HeartbeatResponseCarriesDaemonClock) {
 }
 
 TEST(MessageCodec, EmptyStringsRoundTrip) {
-  DispatchTaskRequest req;
-  req.stage = "";
-  req.task_kind = "";
-  req.payload = "";
-  const DispatchTaskRequest got = RoundTrip(req);
-  EXPECT_EQ(got.stage, "");
-  EXPECT_EQ(got.payload, "");
+  PutBlockRequest put;
+  put.node = 1;
+  put.bytes = "";
+  const PutBlockRequest got = RoundTrip(put);
+  EXPECT_EQ(got.node, 1u);
+  EXPECT_EQ(got.bytes, "");
+
+  FetchBlockResponse fetch;
+  fetch.found = true;
+  fetch.bytes = "";
+  EXPECT_TRUE(RoundTrip(fetch).found);
+  EXPECT_EQ(RoundTrip(fetch).bytes, "");
 }
 
 // Every truncation point of every message must parse to an error, not
@@ -240,17 +217,17 @@ void ExpectAllTruncationsFail(const T& msg) {
 }
 
 TEST(MessageCodec, TruncationsAndTrailingBytesFail) {
-  DispatchTaskRequest dispatch;
-  dispatch.stage = "stage";
-  dispatch.task_kind = "noop";
-  dispatch.payload = "xyz";
-  ExpectAllTruncationsFail(dispatch);
   PutBlockRequest put;
   put.node = 1;
   put.partition = 2;
   put.bytes = "abcdef";
   put.content_hash = 0x1122334455667788ULL;
+  put.trace.trace_id = 3;
   ExpectAllTruncationsFail(put);
+  FetchBlockRequest fetch_req;
+  fetch_req.node = 4;
+  fetch_req.trace.span_id = 5;
+  ExpectAllTruncationsFail(fetch_req);
   FetchBlockResponse fetch;
   fetch.found = true;
   fetch.bytes = "abc";
@@ -297,12 +274,14 @@ TEST(MessageCodec, BoolFieldRejectsNonBoolByte) {
 TEST(MessageCodec, DeclaredLengthPastBufferFails) {
   // A string whose u32 length prefix claims more bytes than the buffer
   // holds must not be believed.
-  DispatchTaskResponse resp;
-  resp.result = "abcd";
+  PutBlockRequest put;
+  put.bytes = "abcd";
   std::string bytes;
-  resp.AppendTo(&bytes);
-  bytes[0] = '\xff';  // length prefix low byte: now claims 0x000000fb more
-  EXPECT_FALSE(DispatchTaskResponse::Parse(bytes.data(), bytes.size()).ok());
+  put.AppendTo(&bytes);
+  // The u32 length prefix of `bytes` follows node (u64) and partition
+  // (i32); its low byte now claims 0xff bytes.
+  bytes[12] = '\xff';
+  EXPECT_FALSE(PutBlockRequest::Parse(bytes.data(), bytes.size()).ok());
 }
 
 // ---------------------------------------------------------------------
@@ -332,6 +311,23 @@ TEST(FrameCodec, UnknownTypeFails) {
   EXPECT_FALSE(ParseFrameHeader(frame.data()).ok());
 }
 
+TEST(FrameCodec, RetiredTypesFail) {
+  // 2 and 3 were a per-task liveness request/response pair; the values
+  // stay retired, so a frame carrying either is an unknown type.
+  for (const uint8_t retired : {2, 3}) {
+    EXPECT_FALSE(IsValidMessageType(retired));
+    std::string frame;
+    EncodeFrame(MessageType::kHeartbeatRequest, "", &frame);
+    frame[4] = static_cast<char>(retired);
+    EXPECT_FALSE(ParseFrameHeader(frame.data()).ok()) << int{retired};
+  }
+  EXPECT_FALSE(IsValidMessageType(0));
+  EXPECT_TRUE(IsValidMessageType(1));
+  EXPECT_TRUE(IsValidMessageType(4));
+  EXPECT_TRUE(IsValidMessageType(15));
+  EXPECT_FALSE(IsValidMessageType(16));
+}
+
 TEST(FrameCodec, NonzeroReservedFails) {
   std::string frame;
   EncodeFrame(MessageType::kHeartbeatRequest, "", &frame);
@@ -351,7 +347,7 @@ TEST(FrameCodec, OversizedLengthFails) {
 
 TEST(FrameDecoderTest, TruncatedFrameIsNeedMoreNotError) {
   std::string frame;
-  EncodeFrame(MessageType::kDispatchTaskRequest, "abcdef", &frame);
+  EncodeFrame(MessageType::kPutBlockRequest, "abcdef", &frame);
   FrameDecoder dec;
   dec.Feed(frame.data(), frame.size() - 1);  // one byte short
   auto next = dec.Next();
@@ -389,17 +385,15 @@ TEST(FrameDecoderTest, ArbitraryChunkingRoundTrips) {
     frames.emplace_back(t, std::move(payload));
   };
   add(MessageType::kError, ErrorResponse::FromStatus(Status::IOError("x")));
-  DispatchTaskRequest dispatch;
-  dispatch.stage = "s";
-  dispatch.payload = std::string(1000, 'p');
-  add(MessageType::kDispatchTaskRequest, dispatch);
-  add(MessageType::kDispatchTaskResponse, DispatchTaskResponse());
   PutBlockRequest put;
   put.node = 5;
   put.bytes = std::string(65536, 'b');
   add(MessageType::kPutBlockRequest, put);
   add(MessageType::kPutBlockResponse, PutBlockResponse());
-  add(MessageType::kFetchBlockRequest, FetchBlockRequest());
+  FetchBlockRequest fetch;
+  fetch.node = 6;
+  fetch.trace.trace_id = 7;
+  add(MessageType::kFetchBlockRequest, fetch);
   FetchBlockResponse fetched;
   fetched.found = true;
   fetched.bytes = std::string(300, 'f');
@@ -416,7 +410,7 @@ TEST(FrameDecoderTest, ArbitraryChunkingRoundTrips) {
   stats.metrics.push_back({"tasks_run", 0, 3});
   StatsSpan stats_span;
   stats_span.trace_id = 2;
-  stats_span.name = "serve_task";
+  stats_span.name = "serve_put";
   stats.spans.push_back(stats_span);
   add(MessageType::kStatsResponse, stats);
 

@@ -1,6 +1,6 @@
 // Loopback RPC suite: an in-process ExecutorDaemon served over real TCP
 // sockets, driven by RpcClient. Covers every message the fleet uses
-// (put/fetch/probe/heartbeat/dispatch/shutdown), the typed-error path
+// (put/fetch/probe/heartbeat/shutdown), the typed-error path
 // (non-OK handler Status travels as a kError frame and comes back as the
 // original Status), reconnect-after-drop, Abort() unblocking a call, and
 // a multi-threaded put/fetch storm for the TSan label.
@@ -126,64 +126,28 @@ TEST_F(RpcLoopbackTest, HeartbeatEchoesSeqAndCountsState) {
   EXPECT_EQ(resp->seq, 777u);
   EXPECT_EQ(resp->blocks_held, 1u);
   EXPECT_GE(resp->bytes_in_memory, 1024u);
-  EXPECT_EQ(resp->tasks_run, 0u);
 }
 
-TEST_F(RpcLoopbackTest, DispatchTaskKindsRunAndCount) {
-  DispatchTaskRequest req;
-  req.stage = "collect";
-  req.task = 0;
-  req.attempt = 0;
-  req.task_kind = "noop";
-  auto resp =
-      client_->TypedCall<DispatchTaskRequest, DispatchTaskResponse>(req);
-  ASSERT_TRUE(resp.ok()) << resp.status().ToString();
-
-  req.task_kind = "echo";
-  req.payload = "ping";
-  resp = client_->TypedCall<DispatchTaskRequest, DispatchTaskResponse>(req);
-  ASSERT_TRUE(resp.ok());
-  EXPECT_EQ(resp->result, "ping");
-
-  req.task_kind = "sleep_us";
-  req.payload = "100";
-  resp = client_->TypedCall<DispatchTaskRequest, DispatchTaskResponse>(req);
-  ASSERT_TRUE(resp.ok());
-
-  HeartbeatRequest hb;
-  hb.seq = 1;
-  auto hb_resp = client_->TypedCall<HeartbeatRequest, HeartbeatResponse>(hb);
-  ASSERT_TRUE(hb_resp.ok());
-  EXPECT_EQ(hb_resp->tasks_run, 3u);
-}
-
-TEST_F(RpcLoopbackTest, UnknownTaskKindTravelsBackAsTypedError) {
-  DispatchTaskRequest req;
-  req.stage = "collect";
-  req.task_kind = "explode";
-  auto resp =
-      client_->TypedCall<DispatchTaskRequest, DispatchTaskResponse>(req);
+TEST_F(RpcLoopbackTest, CorruptPutTravelsBackAsTypedError) {
+  // The content hash does not match the bytes: the daemon refuses the
+  // store as corrupted in flight.
+  PutBlockRequest put;
+  put.node = 8;
+  put.partition = 0;
+  put.bytes = std::string(64, 'c');
+  put.content_hash = 0x0badc0de0badc0deULL;
+  auto resp = client_->TypedCall<PutBlockRequest, PutBlockResponse>(put);
   ASSERT_FALSE(resp.ok());
-  EXPECT_EQ(resp.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(resp.status().code(), StatusCode::kIOError);
 
   // A typed error is an application failure, not a transport failure:
   // the connection survives and the next call works without reconnect.
   EXPECT_TRUE(client_->connected());
   HeartbeatRequest hb;
   hb.seq = 2;
-  EXPECT_TRUE((client_->TypedCall<HeartbeatRequest, HeartbeatResponse>(hb))
-                  .ok());
-}
-
-TEST_F(RpcLoopbackTest, BadSleepDurationRejected) {
-  DispatchTaskRequest req;
-  req.stage = "s";
-  req.task_kind = "sleep_us";
-  req.payload = "not-a-number";
-  auto resp =
-      client_->TypedCall<DispatchTaskRequest, DispatchTaskResponse>(req);
-  ASSERT_FALSE(resp.ok());
-  EXPECT_EQ(resp.status().code(), StatusCode::kInvalidArgument);
+  auto hb_resp = client_->TypedCall<HeartbeatRequest, HeartbeatResponse>(hb);
+  ASSERT_TRUE(hb_resp.ok()) << hb_resp.status().ToString();
+  EXPECT_EQ(hb_resp->blocks_held, 0u) << "refused store must not land";
 }
 
 TEST_F(RpcLoopbackTest, LazyReconnectAfterManualDrop) {
