@@ -160,7 +160,8 @@ void Context::RunStage(const std::string& name, int n,
           static_cast<uint64_t>(stat.speculative_wins));
     }
     // Task-time distribution over the primary attempts: min/max/total,
-    // log-scale histogram, skew ratio (max/mean), stragglers (> 2x mean).
+    // the registry's task_duration_us histogram, skew ratio (max/mean),
+    // stragglers (> 2x mean).
     if (n > 0) {
       stat.min_task_us = UINT64_MAX;
       for (int i = 0; i < n; ++i) {
@@ -170,12 +171,6 @@ void Context::RunStage(const std::string& name, int n,
         stat.total_task_us += t.duration_us;
         metrics_.task_duration_us.Observe(
             static_cast<double>(t.duration_us));
-        for (size_t b = 0; b < StageStat::kHistBoundsUs.size(); ++b) {
-          if (t.duration_us <= StageStat::kHistBoundsUs[b]) {
-            ++stat.task_hist[b];
-            break;
-          }
-        }
       }
       const double mean =
           static_cast<double>(stat.total_task_us) / static_cast<double>(n);
@@ -340,9 +335,17 @@ void Context::RunStage(const std::string& name, int n,
 
 void Context::RunJob(internal::NodeBase* root, const std::string& action,
                      int n, const std::function<void(int)>& fn) {
+  RunJobAttempts({root}, action, n, &fn);
+  metrics_.jobs_run.fetch_add(1);
+}
+
+bool Context::RunJobAttempts(const std::vector<internal::NodeBase*>& roots,
+                             const std::string& action, int n,
+                             const std::function<void(int)>* fn) {
   // Runs under the caller's job id when one is bound (the JobServer's
   // dispatchers bind one id per served job so every StageStat of that
-  // job carries the same tenant-attributable id), else mints its own.
+  // job carries the same tenant-attributable id; a materialization
+  // called from inside RunJob joins that job), else mints its own.
   const uint64_t ambient = internal::CurrentJobId();
   const uint64_t job_id =
       ambient != 0 ? ambient : next_job_id_.fetch_add(1) + 1;
@@ -359,26 +362,30 @@ void Context::RunJob(internal::NodeBase* root, const std::string& action,
   trace::ScopedContext trace_scope(job_trace);
   const FaultToleranceOptions opts = fault_options();
   const int max_attempts = std::max(1, opts.max_job_attempts);
+  const auto what = [&] {
+    return fn != nullptr ? "job '" + action + "'"
+                         : std::string("shuffle materialization");
+  };
   for (int attempt = 0;; ++attempt) {
     // Re-planning each attempt is what makes recovery stage-granular:
     // shuffles whose output survived report IsMaterialized() and are
     // skipped; only lost ones re-run from lineage.
-    PhysicalPlan plan = scheduler_.BuildPlan({root}, action);
+    PhysicalPlan plan = scheduler_.BuildPlan(roots, action);
     try {
       scheduler_.MaterializeShuffles(plan, serial_shuffle_materialization());
-      RunStage(action, n, fn, attempt);
+      if (fn != nullptr) RunStage(action, n, *fn, attempt);
       break;
     } catch (const ShuffleBlockLostError& e) {
       if (attempt + 1 >= max_attempts) {
-        throw JobFailedError("job '" + action + "' failed after " +
+        throw JobFailedError(what() + " failed after " +
                              std::to_string(attempt + 1) +
                              " attempt(s): " + e.what());
       }
-      SPANGLE_LOG(Warning) << "job '" << action << "' attempt " << attempt
-                           << ": " << e.what() << "; re-planning";
+      SPANGLE_LOG(Warning) << what() << " attempt " << attempt << ": "
+                           << e.what() << "; re-planning";
     }
   }
-  metrics_.jobs_run.fetch_add(1);
+  return ambient == 0;
 }
 
 PhysicalPlan Context::BuildPlan(internal::NodeBase* root,
@@ -398,36 +405,9 @@ void Context::EnsureShuffleDependencies(internal::NodeBase* node) {
 
 void Context::EnsureShuffleDependencies(
     const std::vector<internal::NodeBase*>& roots) {
-  // Materialize-only job (no result stage). Runs under the caller's job
-  // id when one is active (e.g. called from RunJob), else under its own.
-  const bool in_job = internal::CurrentJobId() != 0;
-  const uint64_t job_id =
-      in_job ? internal::CurrentJobId() : next_job_id_.fetch_add(1) + 1;
-  internal::ScopedJobId job(job_id);
-  TraceContext job_trace = trace::Current();
-  if (trace_spans_.enabled() && job_trace.trace_id == 0) {
-    job_trace.trace_id = job_id;
-    job_trace.span_id = trace_spans_.NextSpanId();
-  }
-  trace::ScopedContext trace_scope(job_trace);
-  const FaultToleranceOptions opts = fault_options();
-  const int max_attempts = std::max(1, opts.max_job_attempts);
-  for (int attempt = 0;; ++attempt) {
-    PhysicalPlan plan = scheduler_.BuildPlan(roots, "");
-    try {
-      scheduler_.MaterializeShuffles(plan, serial_shuffle_materialization());
-      break;
-    } catch (const ShuffleBlockLostError& e) {
-      if (attempt + 1 >= max_attempts) {
-        throw JobFailedError("shuffle materialization failed after " +
-                             std::to_string(attempt + 1) +
-                             " attempt(s): " + e.what());
-      }
-      SPANGLE_LOG(Warning) << "materialization attempt " << attempt << ": "
-                           << e.what() << "; re-planning";
-    }
-  }
-  if (!in_job) metrics_.jobs_run.fetch_add(1);
+  // Materialize-only job (no result stage); counted as a job of its own
+  // only when it runs outside one.
+  if (RunJobAttempts(roots, "", 0, nullptr)) metrics_.jobs_run.fetch_add(1);
 }
 
 bool Context::DumpTrace(const std::string& path) const {

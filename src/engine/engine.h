@@ -242,6 +242,16 @@ class Context {
   uint64_t NowMicros() const { return pool_.NowMicros(); }
 
  private:
+  /// The job loop behind RunJob and EnsureShuffleDependencies: runs under
+  /// the caller's job id and trace root when one is bound, else mints
+  /// both; plans `roots`, materializes their pending shuffles and, when
+  /// `fn` is set, runs it as the `n`-task result stage named `action`.
+  /// Re-plans on ShuffleBlockLostError up to max_job_attempts times, then
+  /// throws JobFailedError. Returns true when it minted the job id.
+  bool RunJobAttempts(const std::vector<internal::NodeBase*>& roots,
+                      const std::string& action, int n,
+                      const std::function<void(int)>* fn);
+
   ExecutorPool pool_;
   EngineMetrics metrics_;
   BlockManager block_manager_;  // after metrics_: holds a pointer to it
@@ -661,16 +671,22 @@ class ShuffleNode final : public Node<std::pair<K, V>> {
   /// Materialized = every output block is still available (in memory or
   /// spilled; on its owner daemon in DISTRIBUTED mode). Executor failures
   /// make this false again, which re-runs the shuffle before the next
-  /// action (Spark's stage retry).
+  /// action (Spark's stage retry). DISTRIBUTED mode asks no daemon: the
+  /// blocks are still held while no owner daemon has been replaced since
+  /// the stores began (a daemon that died unnoticed is caught by the
+  /// first fetch, which raises ShuffleBlockLostError).
   bool IsMaterialized() const override {
+    std::vector<uint64_t> stored_generations;
     {
       MutexLock lock(&mu_);
       if (!materialized_) return false;
+      stored_generations = owner_generations_;
     }
     if constexpr (codec::kSpillable<Record>) {
       if (this->ctx()->distributed()) {
-        return this->ctx()->remote_shuffle()->ContainsAll(this->id(),
-                                                          num_partitions());
+        return stored_generations ==
+               this->ctx()->remote_shuffle()->OwnerGenerations(
+                   num_partitions());
       }
     }
     return this->ctx()->block_manager().ContainsAll(this->id(),
@@ -755,7 +771,12 @@ class ShuffleNode final : public Node<std::pair<K, V>> {
         // (daemon-side dedup + receipt validation). A double store
         // failure (owner down AND its restarted replacement failing)
         // means the fleet is broken, not a block loss — lineage cannot
-        // route around a fleet with no daemons.
+        // route around a fleet with no daemons. The owners' generations
+        // are read before the first store, so a replacement during the
+        // stores leaves the shuffle unmaterialized instead of hiding a
+        // block the replaced daemon took with it.
+        std::vector<uint64_t> generations =
+            ctx->remote_shuffle()->OwnerGenerations(n_out);
         for (int r = 0; r < n_out; ++r) {
           codec::EncodedFrame frame =
               EncodePartitionTimed(ctx->metrics(), output[r]);
@@ -766,6 +787,7 @@ class ShuffleNode final : public Node<std::pair<K, V>> {
         }
         MutexLock lock(&mu_);
         materialized_ = true;
+        owner_generations_ = std::move(generations);
         return;
       }
       // LOCAL: output blocks live in the block store like any cached
@@ -852,10 +874,13 @@ class ShuffleNode final : public Node<std::pair<K, V>> {
   std::shared_ptr<Partitioner<K>> partitioner_;
   Combiner combiner_;
 
-  // Rank kShuffleNode: released before ContainsAll / RunStage, so no
-  // other engine lock is ever taken while it is held.
+  // Rank kShuffleNode: released before ContainsAll / OwnerGenerations /
+  // RunStage, so no other engine lock is ever taken while it is held.
   mutable Mutex mu_{LockRank::kShuffleNode, "ShuffleNode::mu_"};
   bool materialized_ GUARDED_BY(mu_) = false;
+  // DISTRIBUTED only: the owner daemons' fleet generations read before
+  // the blocks were stored (see IsMaterialized).
+  std::vector<uint64_t> owner_generations_ GUARDED_BY(mu_);
   int materialize_attempts_ GUARDED_BY(mu_) = 0;
 };
 

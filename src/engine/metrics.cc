@@ -14,9 +14,7 @@ namespace {
 // any. Bound by Context::RunStage around each task body.
 thread_local EngineMetrics::StageAccumulator* tl_stage_acc = nullptr;
 
-// Finite log-scale task-duration bounds (us); the registry histogram gets
-// an implicit overflow bucket, unlike StageStat::kHistBoundsUs whose last
-// entry is UINT64_MAX.
+// Log-scale task-duration bounds (us), plus the implicit overflow bucket.
 std::vector<double> TaskDurationBounds() {
   return {10, 100, 1000, 10000, 100000, 1000000, 10000000};
 }
@@ -350,6 +348,24 @@ void EngineMetrics::Reset() {
   MutexLock lock(&stage_mu_);
   stage_stats_.clear();
   stage_stats_dropped_.store(0, std::memory_order_relaxed);
+}
+
+std::vector<MetricSample> EngineMetrics::Snapshot() const {
+  std::vector<MetricSample> out;
+  out.reserve(registry_.metrics().size());
+  for (const MetricDef& m : registry_.metrics()) {
+    MetricSample s;
+    s.name = m.name;
+    s.kind = m.kind;
+    if (m.kind == MetricKind::kHistogram) {
+      s.buckets = m.histogram->BucketCounts();
+      for (const uint64_t c : s.buckets) s.value += c;
+    } else {
+      s.value = m.value->load(std::memory_order_relaxed);
+    }
+    out.push_back(std::move(s));
+  }
+  return out;
 }
 
 std::string EngineMetrics::ToString() const {

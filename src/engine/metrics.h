@@ -1,7 +1,6 @@
 #ifndef SPANGLE_ENGINE_METRICS_H_
 #define SPANGLE_ENGINE_METRICS_H_
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <deque>
@@ -29,11 +28,6 @@ struct TaskStat {
 /// alike — and consumed by Explain-style reporting, tests, and the Chrome
 /// trace exporter (Context::DumpTrace).
 struct StageStat {
-  /// Log-scale task-duration histogram bucket upper bounds (microseconds);
-  /// the last bucket is open-ended.
-  static constexpr std::array<uint64_t, 8> kHistBoundsUs = {
-      10, 100, 1000, 10000, 100000, 1000000, 10000000, UINT64_MAX};
-
   uint64_t job_id = 0;   // 0 = outside any scheduler-submitted job
   uint64_t seq = 0;      // global stage sequence number (per context)
   std::string name;      // e.g. "reduceByKey/map", "collect"
@@ -52,8 +46,7 @@ struct StageStat {
   uint64_t min_task_us = 0;
   uint64_t max_task_us = 0;
   uint64_t total_task_us = 0;
-  std::array<uint32_t, 8> task_hist{};  // counts per kHistBoundsUs bucket
-  double skew_ratio = 0.0;              // max task time / mean task time
+  double skew_ratio = 0.0;  // max task time / mean task time
   int num_stragglers = 0;  // tasks slower than 2x the stage mean
 
   // Bytes/records this stage's tasks pushed through the shuffle write
@@ -147,6 +140,16 @@ struct MetricDef {
   MetricKind kind = MetricKind::kCounter;
   std::atomic<uint64_t>* value = nullptr;  // scalar kinds
   Histogram* histogram = nullptr;          // kHistogram only
+};
+
+/// A point-in-time reading of one registered metric: the value of a
+/// counter, gauge or timer; for a histogram, its bucket counts and their
+/// sum (the observation count) as `value`.
+struct MetricSample {
+  std::string name;
+  MetricKind kind = MetricKind::kCounter;
+  uint64_t value = 0;
+  std::vector<uint64_t> buckets;  // kHistogram only
 };
 
 /// Typed metric registry: every EngineMetrics counter/gauge/timer/
@@ -340,6 +343,10 @@ class EngineMetrics {
 
   /// Every registered metric (stable registration order).
   const MetricRegistry& registry() const { return registry_; }
+
+  /// The current reading of every registered metric, in registry order.
+  /// Two snapshots diff entry by entry (see ProfiledRun).
+  std::vector<MetricSample> Snapshot() const;
 
   std::string ToString() const;
 

@@ -247,7 +247,8 @@ std::string AnalyzedPlan::ToString() const {
   std::ostringstream os;
   os << "== Analyzed plan";
   if (!action.empty()) os << ": " << action;
-  os << " == wall=" << HumanUs(wall_us) << " stages=" << stages_run << "\n";
+  os << " == wall=" << HumanUs(wall_us) << " stages=" << Delta("stages_run")
+     << "\n";
   for (const AnalyzedNode& n : nodes) {
     const std::string base(static_cast<size_t>(n.depth) * 3, ' ');
     os << base;
@@ -275,48 +276,79 @@ std::string AnalyzedPlan::ToString() const {
      << " chunks_built=" << totals.TotalChunksBuilt()
      << " mode_transitions=" << totals.TotalModeTransitions() << "\n";
   AppendArrayStats(os, "  ", totals);
-  if (codec_bytes_raw > 0 || shuffle_block_dedup_hits > 0) {
-    os << "codec: raw=" << HumanBytes(codec_bytes_raw)
-       << " encoded=" << HumanBytes(codec_bytes_encoded) << " ("
-       << (codec_bytes_raw > 0
-               ? static_cast<double>(codec_bytes_encoded) /
-                     static_cast<double>(codec_bytes_raw)
-               : 0.0)
-       << "x) encode=" << HumanUs(codec_encode_time_us)
-       << " dedup_hits=" << shuffle_block_dedup_hits << "\n";
+  const uint64_t codec_raw = Delta("codec_bytes_raw");
+  const uint64_t codec_encoded = Delta("codec_bytes_encoded");
+  const uint64_t dedup_hits = Delta("shuffle_block_dedup_hits");
+  if (codec_raw > 0 || dedup_hits > 0) {
+    os << "codec: raw=" << HumanBytes(codec_raw)
+       << " encoded=" << HumanBytes(codec_encoded) << " ("
+       << (codec_raw > 0 ? static_cast<double>(codec_encoded) /
+                               static_cast<double>(codec_raw)
+                         : 0.0)
+       << "x) encode=" << HumanUs(Delta("codec_encode_time_us"))
+       << " dedup_hits=" << dedup_hits << "\n";
   }
-  if (result_cache_hits > 0 || result_cache_misses > 0 ||
-      admission_queued > 0 || admission_rejected > 0 || jobs_served > 0) {
-    os << "serving: result_cache_hits=" << result_cache_hits
-       << " result_cache_misses=" << result_cache_misses
-       << " admission_queued=" << admission_queued
-       << " admission_rejected=" << admission_rejected;
+  const uint64_t cache_hits = Delta("result_cache_hits");
+  const uint64_t cache_misses = Delta("result_cache_misses");
+  const uint64_t adm_queued = Delta("admission_queued");
+  const uint64_t adm_rejected = Delta("admission_rejected");
+  const uint64_t jobs_served = Delta("jobs_served");
+  if (cache_hits > 0 || cache_misses > 0 || adm_queued > 0 ||
+      adm_rejected > 0 || jobs_served > 0) {
+    os << "serving: result_cache_hits=" << cache_hits
+       << " result_cache_misses=" << cache_misses
+       << " admission_queued=" << adm_queued
+       << " admission_rejected=" << adm_rejected;
     if (jobs_served > 0) {
-      const auto p = [](double us) {
+      // Percentiles over only this run's jobs: interpolated on the
+      // diffed bucket counts of the serving latency histograms.
+      const auto p = [this](const char* hist, double q) {
+        const MetricSample* m = Metric(hist);
+        const double us = m == nullptr
+                              ? 0.0
+                              : Histogram::PercentileFromCounts(
+                                    EngineMetrics::LatencyBoundsUs(),
+                                    m->buckets, q);
         return HumanUs(static_cast<uint64_t>(us));
       };
-      os << " jobs_served=" << jobs_served << " wait_p50/p95/p99="
-         << p(job_wait_p50_us) << "/" << p(job_wait_p95_us) << "/"
-         << p(job_wait_p99_us) << " run_p50/p95/p99=" << p(job_run_p50_us)
-         << "/" << p(job_run_p95_us) << "/" << p(job_run_p99_us)
-         << " e2e_p50/p95/p99=" << p(job_e2e_p50_us) << "/"
-         << p(job_e2e_p95_us) << "/" << p(job_e2e_p99_us);
+      os << " jobs_served=" << jobs_served;
+      for (const auto& [label, hist] :
+           {std::pair{"wait", "job_queue_wait_us"},
+            std::pair{"run", "job_run_us"}, std::pair{"e2e", "job_e2e_us"}}) {
+        os << " " << label << "_p50/p95/p99=" << p(hist, 0.50) << "/"
+           << p(hist, 0.95) << "/" << p(hist, 0.99);
+      }
     }
     os << "\n";
   }
-  if (rpc_roundtrips > 0 || executor_restarts > 0 || heartbeat_misses > 0) {
+  const uint64_t rpc_roundtrips = Delta("rpc_roundtrips");
+  const uint64_t restarts = Delta("executor_restarts");
+  const uint64_t hb_misses = Delta("heartbeat_misses");
+  if (rpc_roundtrips > 0 || restarts > 0 || hb_misses > 0) {
     os << "fleet: rpc_roundtrips=" << rpc_roundtrips
-       << " sent=" << HumanBytes(rpc_bytes_sent)
-       << " received=" << HumanBytes(rpc_bytes_received)
-       << " remote_fetches=" << remote_shuffle_fetches
-       << " restarts=" << executor_restarts
-       << " heartbeat_misses=" << heartbeat_misses << "\n";
+       << " sent=" << HumanBytes(Delta("rpc_bytes_sent"))
+       << " received=" << HumanBytes(Delta("rpc_bytes_received"))
+       << " remote_fetches=" << Delta("remote_shuffle_fetches")
+       << " restarts=" << restarts << " heartbeat_misses=" << hb_misses
+       << "\n";
   }
   if (!stages.empty()) {
     os << "stages:\n";
     for (const StageStat& s : stages) os << "  " << s.ToString() << "\n";
   }
   return os.str();
+}
+
+const MetricSample* AnalyzedPlan::Metric(const std::string& name) const {
+  for (const MetricSample& m : metrics) {
+    if (m.name == name) return &m;
+  }
+  return nullptr;
+}
+
+uint64_t AnalyzedPlan::Delta(const std::string& name) const {
+  const MetricSample* m = Metric(name);
+  return m == nullptr ? 0 : m->value;
 }
 
 const AnalyzedNode* AnalyzedPlan::Find(const std::string& name_substr) const {
@@ -353,43 +385,10 @@ ProfiledRun::ProfiledRun(Context* ctx,
   for (internal::NodeBase* r : roots) walk(r, 0);
   const auto stats = ctx_->metrics().StageStats();
   if (!stats.empty()) {
-    any_stage_before_ = true;
-    max_stage_seq_before_ = stats.back().seq;
+    any_stage_at_start_ = true;
+    last_stage_seq_ = stats.back().seq;
   }
-  stages_before_ = ctx_->metrics().stages_run.load(std::memory_order_relaxed);
-  codec_raw_before_ =
-      ctx_->metrics().codec_bytes_raw.load(std::memory_order_relaxed);
-  codec_encoded_before_ =
-      ctx_->metrics().codec_bytes_encoded.load(std::memory_order_relaxed);
-  codec_time_before_ =
-      ctx_->metrics().codec_encode_time_us.load(std::memory_order_relaxed);
-  dedup_hits_before_ = ctx_->metrics().shuffle_block_dedup_hits.load(
-      std::memory_order_relaxed);
-  cache_hits_before_ =
-      ctx_->metrics().result_cache_hits.load(std::memory_order_relaxed);
-  cache_misses_before_ =
-      ctx_->metrics().result_cache_misses.load(std::memory_order_relaxed);
-  adm_queued_before_ =
-      ctx_->metrics().admission_queued.load(std::memory_order_relaxed);
-  adm_rejected_before_ =
-      ctx_->metrics().admission_rejected.load(std::memory_order_relaxed);
-  jobs_served_before_ =
-      ctx_->metrics().jobs_served.load(std::memory_order_relaxed);
-  wait_buckets_before_ = ctx_->metrics().job_queue_wait_us.BucketCounts();
-  run_buckets_before_ = ctx_->metrics().job_run_us.BucketCounts();
-  e2e_buckets_before_ = ctx_->metrics().job_e2e_us.BucketCounts();
-  rpc_roundtrips_before_ =
-      ctx_->metrics().rpc_roundtrips.load(std::memory_order_relaxed);
-  rpc_sent_before_ =
-      ctx_->metrics().rpc_bytes_sent.load(std::memory_order_relaxed);
-  rpc_received_before_ =
-      ctx_->metrics().rpc_bytes_received.load(std::memory_order_relaxed);
-  remote_fetches_before_ =
-      ctx_->metrics().remote_shuffle_fetches.load(std::memory_order_relaxed);
-  restarts_before_ =
-      ctx_->metrics().executor_restarts.load(std::memory_order_relaxed);
-  hb_misses_before_ =
-      ctx_->metrics().heartbeat_misses.load(std::memory_order_relaxed);
+  metrics_at_start_ = ctx_->metrics().Snapshot();
   start_us_ = ctx_->NowMicros();
 }
 
@@ -397,82 +396,18 @@ AnalyzedPlan ProfiledRun::Finish() {
   AnalyzedPlan plan;
   plan.action = action_;
   plan.wall_us = ctx_->NowMicros() - start_us_;
-  plan.stages_run =
-      ctx_->metrics().stages_run.load(std::memory_order_relaxed) -
-      stages_before_;
-  plan.codec_bytes_raw =
-      ctx_->metrics().codec_bytes_raw.load(std::memory_order_relaxed) -
-      codec_raw_before_;
-  plan.codec_bytes_encoded =
-      ctx_->metrics().codec_bytes_encoded.load(std::memory_order_relaxed) -
-      codec_encoded_before_;
-  plan.codec_encode_time_us =
-      ctx_->metrics().codec_encode_time_us.load(std::memory_order_relaxed) -
-      codec_time_before_;
-  plan.shuffle_block_dedup_hits =
-      ctx_->metrics().shuffle_block_dedup_hits.load(
-          std::memory_order_relaxed) -
-      dedup_hits_before_;
-  plan.result_cache_hits =
-      ctx_->metrics().result_cache_hits.load(std::memory_order_relaxed) -
-      cache_hits_before_;
-  plan.result_cache_misses =
-      ctx_->metrics().result_cache_misses.load(std::memory_order_relaxed) -
-      cache_misses_before_;
-  plan.admission_queued =
-      ctx_->metrics().admission_queued.load(std::memory_order_relaxed) -
-      adm_queued_before_;
-  plan.admission_rejected =
-      ctx_->metrics().admission_rejected.load(std::memory_order_relaxed) -
-      adm_rejected_before_;
-  plan.jobs_served =
-      ctx_->metrics().jobs_served.load(std::memory_order_relaxed) -
-      jobs_served_before_;
-  if (plan.jobs_served > 0) {
-    // Percentiles over only this run's jobs: diff the cumulative bucket
-    // counts, then interpolate on the diff.
-    const auto diff = [](std::vector<uint64_t> after,
-                         const std::vector<uint64_t>& before) {
-      for (size_t i = 0; i < after.size() && i < before.size(); ++i) {
-        after[i] -= before[i];
-      }
-      return after;
-    };
-    const auto& bounds = EngineMetrics::LatencyBoundsUs();
-    const auto wait = diff(
-        ctx_->metrics().job_queue_wait_us.BucketCounts(), wait_buckets_before_);
-    const auto run =
-        diff(ctx_->metrics().job_run_us.BucketCounts(), run_buckets_before_);
-    const auto e2e =
-        diff(ctx_->metrics().job_e2e_us.BucketCounts(), e2e_buckets_before_);
-    plan.job_wait_p50_us = Histogram::PercentileFromCounts(bounds, wait, 0.50);
-    plan.job_wait_p95_us = Histogram::PercentileFromCounts(bounds, wait, 0.95);
-    plan.job_wait_p99_us = Histogram::PercentileFromCounts(bounds, wait, 0.99);
-    plan.job_run_p50_us = Histogram::PercentileFromCounts(bounds, run, 0.50);
-    plan.job_run_p95_us = Histogram::PercentileFromCounts(bounds, run, 0.95);
-    plan.job_run_p99_us = Histogram::PercentileFromCounts(bounds, run, 0.99);
-    plan.job_e2e_p50_us = Histogram::PercentileFromCounts(bounds, e2e, 0.50);
-    plan.job_e2e_p95_us = Histogram::PercentileFromCounts(bounds, e2e, 0.95);
-    plan.job_e2e_p99_us = Histogram::PercentileFromCounts(bounds, e2e, 0.99);
+  // Both snapshots walk the same registry, so entries pair up by index.
+  std::vector<MetricSample> now = ctx_->metrics().Snapshot();
+  for (size_t i = 0; i < now.size(); ++i) {
+    MetricSample& m = now[i];
+    if (m.kind == MetricKind::kGauge) continue;
+    const MetricSample& start = metrics_at_start_[i];
+    m.value -= start.value;
+    for (size_t b = 0; b < m.buckets.size(); ++b) {
+      m.buckets[b] -= start.buckets[b];
+    }
+    plan.metrics.push_back(std::move(m));
   }
-  plan.rpc_roundtrips =
-      ctx_->metrics().rpc_roundtrips.load(std::memory_order_relaxed) -
-      rpc_roundtrips_before_;
-  plan.rpc_bytes_sent =
-      ctx_->metrics().rpc_bytes_sent.load(std::memory_order_relaxed) -
-      rpc_sent_before_;
-  plan.rpc_bytes_received =
-      ctx_->metrics().rpc_bytes_received.load(std::memory_order_relaxed) -
-      rpc_received_before_;
-  plan.remote_shuffle_fetches =
-      ctx_->metrics().remote_shuffle_fetches.load(std::memory_order_relaxed) -
-      remote_fetches_before_;
-  plan.executor_restarts =
-      ctx_->metrics().executor_restarts.load(std::memory_order_relaxed) -
-      restarts_before_;
-  plan.heartbeat_misses =
-      ctx_->metrics().heartbeat_misses.load(std::memory_order_relaxed) -
-      hb_misses_before_;
   for (AnalyzedNode& an : nodes_) {
     const NodeProfileSnapshot after = ctx_->profile().Snapshot(an.node_id);
     an.actuals = after - an.actuals;
@@ -480,7 +415,7 @@ AnalyzedPlan ProfiledRun::Finish() {
   }
   plan.nodes = std::move(nodes_);
   for (const StageStat& s : ctx_->metrics().StageStats()) {
-    if (!any_stage_before_ || s.seq > max_stage_seq_before_) {
+    if (!any_stage_at_start_ || s.seq > last_stage_seq_) {
       plan.stages.push_back(s);
     }
   }

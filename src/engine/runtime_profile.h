@@ -289,52 +289,34 @@ struct AnalyzedNode {
 struct AnalyzedPlan {
   std::string action;
   uint64_t wall_us = 0;
-  uint64_t stages_run = 0;
-  // Chunk-frame codec activity during this run (snapshot diffs of the
-  // global counters): record-format vs encoded bytes, encode time, and
-  // shuffle block commits deduplicated by content hash.
-  uint64_t codec_bytes_raw = 0;
-  uint64_t codec_bytes_encoded = 0;
-  uint64_t codec_encode_time_us = 0;
-  uint64_t shuffle_block_dedup_hits = 0;
-  // Serving-layer activity during this run (snapshot diffs): result-cache
-  // traffic and admission decisions made by an attached JobServer. All
-  // zero when nothing was served while the run was open.
-  uint64_t result_cache_hits = 0;
-  uint64_t result_cache_misses = 0;
-  uint64_t admission_queued = 0;
-  uint64_t admission_rejected = 0;
-  // Served-job latency percentiles (us) over jobs finished during this
-  // run, estimated from the serving histograms' bucket diffs (wait =
-  // submit → dispatch, run = dispatch → done, e2e = submit → done). All
-  // zero when no JobServer completed a job while the run was open.
-  uint64_t jobs_served = 0;
-  double job_wait_p50_us = 0, job_wait_p95_us = 0, job_wait_p99_us = 0;
-  double job_run_p50_us = 0, job_run_p95_us = 0, job_run_p99_us = 0;
-  double job_e2e_p50_us = 0, job_e2e_p95_us = 0, job_e2e_p99_us = 0;
-  // Fleet/RPC activity during this run (snapshot diffs): RPC roundtrips
-  // and bytes on the wire, remote shuffle fetches, daemon restarts, and
-  // heartbeat misses. All zero in LOCAL mode.
-  uint64_t rpc_roundtrips = 0;
-  uint64_t rpc_bytes_sent = 0;
-  uint64_t rpc_bytes_received = 0;
-  uint64_t remote_shuffle_fetches = 0;
-  uint64_t executor_restarts = 0;
-  uint64_t heartbeat_misses = 0;
+  // What the run changed in the context's metric registry: the
+  // EngineMetrics::Snapshot() taken after it minus the one taken before,
+  // in registry order. Counters, timers and histograms (bucket counts)
+  // only — the difference of two gauge readings is not a count. A newly
+  // registered metric appears here without further code.
+  std::vector<MetricSample> metrics;
   NodeProfileSnapshot totals;      // sum over non-reused nodes
   std::vector<AnalyzedNode> nodes;  // preorder, roots first
   std::vector<StageStat> stages;    // stages executed during the run
 
   std::string ToString() const;
 
+  /// The change in registry metric `name` during the run (a histogram's
+  /// observation count); 0 for an unknown name or a gauge.
+  uint64_t Delta(const std::string& name) const;
+
+  /// The diffed entry for `name` (nullptr for an unknown name or a gauge).
+  const MetricSample* Metric(const std::string& name) const;
+
   /// First node whose name contains `name_substr` (nullptr when absent).
   const AnalyzedNode* Find(const std::string& name_substr) const;
 };
 
-/// Measurement session behind ExplainAnalyze: captures the lineage tree
-/// and per-node counter snapshots before the action executes, then diffs
-/// after it — so an ExplainAnalyze on a shared/cached lineage reports
-/// only this query's execution. Forces profiling on for the duration.
+/// Measurement session behind ExplainAnalyze: captures the lineage tree,
+/// per-node counter snapshots and a metric-registry snapshot before the
+/// action executes, then diffs after it — so an ExplainAnalyze on a
+/// shared/cached lineage reports only this query's execution. Forces
+/// profiling on for the duration.
 class ProfiledRun {
  public:
   ProfiledRun(Context* ctx, const std::vector<internal::NodeBase*>& roots,
@@ -350,27 +332,11 @@ class ProfiledRun {
   std::vector<AnalyzedNode> nodes_;  // actuals hold the BEFORE snapshots
   bool prev_enabled_ = true;
   uint64_t start_us_ = 0;
-  uint64_t stages_before_ = 0;
-  uint64_t max_stage_seq_before_ = 0;
-  bool any_stage_before_ = false;
-  uint64_t codec_raw_before_ = 0;
-  uint64_t codec_encoded_before_ = 0;
-  uint64_t codec_time_before_ = 0;
-  uint64_t dedup_hits_before_ = 0;
-  uint64_t cache_hits_before_ = 0;
-  uint64_t cache_misses_before_ = 0;
-  uint64_t adm_queued_before_ = 0;
-  uint64_t adm_rejected_before_ = 0;
-  uint64_t jobs_served_before_ = 0;
-  std::vector<uint64_t> wait_buckets_before_;
-  std::vector<uint64_t> run_buckets_before_;
-  std::vector<uint64_t> e2e_buckets_before_;
-  uint64_t rpc_roundtrips_before_ = 0;
-  uint64_t rpc_sent_before_ = 0;
-  uint64_t rpc_received_before_ = 0;
-  uint64_t remote_fetches_before_ = 0;
-  uint64_t restarts_before_ = 0;
-  uint64_t hb_misses_before_ = 0;
+  // Stage records with seq > last_stage_seq_ ran during the run (all of
+  // them when no stage had run before it).
+  bool any_stage_at_start_ = false;
+  uint64_t last_stage_seq_ = 0;
+  std::vector<MetricSample> metrics_at_start_;
 };
 
 }  // namespace spangle

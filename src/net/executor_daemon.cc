@@ -193,16 +193,6 @@ Status ExecutorDaemon::Handle(MessageType req_type,
                  req->trace.span_id);
       return Status::OK();
     }
-    case MessageType::kProbeBlockRequest: {
-      auto req = ProbeBlockRequest::Parse(req_payload.data(),
-                                          req_payload.size());
-      SPANGLE_RETURN_NOT_OK(req.status());
-      ProbeBlockResponse resp;
-      resp.found = blocks_.Contains(BlockId{req->node, req->partition});
-      *resp_type = ProbeBlockResponse::kType;
-      resp.AppendTo(resp_payload);
-      return Status::OK();
-    }
     case MessageType::kHeartbeatRequest: {
       auto req = HeartbeatRequest::Parse(req_payload.data(),
                                          req_payload.size());
@@ -241,8 +231,7 @@ Status ExecutorDaemon::Handle(MessageType req_type,
                def.value->load(std::memory_order_relaxed)});
         }
       }
-      const std::vector<TraceSpan> spans =
-          req->drain_spans ? spans_.Drain() : spans_.Snapshot();
+      const std::vector<TraceSpan> spans = spans_.Drain();
       resp.spans.reserve(spans.size());
       for (const TraceSpan& s : spans) {
         resp.spans.push_back({s.trace_id, s.span_id, s.parent_span_id,

@@ -5,6 +5,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
@@ -79,6 +80,10 @@ ExecutorFleet::ExecutorFleet(const DistributedOptions& options,
       fleet_epoch_(std::chrono::steady_clock::now()) {
   SPANGLE_CHECK(num_executors_ > 0);
   SPANGLE_CHECK(metrics_ != nullptr);
+  {
+    MutexLock l(&mu_);
+    generations_.assign(num_executors_, 0);
+  }
   MutexLock l(&stats_mu_);
   stats_.resize(num_executors_);
   for (int w = 0; w < num_executors_; ++w) stats_[w].executor = w;
@@ -264,6 +269,7 @@ Status ExecutorFleet::SpawnLocked(int w) {
 }
 
 void ExecutorFleet::KillLocked(int w) {
+  ++generations_[w];
   Slot& s = slots_[w];
   if (s.client != nullptr) s.client->Abort();
   if (s.pid > 0) {
@@ -392,20 +398,11 @@ Result<FetchBlockResponse> ExecutorFleet::FetchBlock(uint64_t node,
   return lost;
 }
 
-bool ExecutorFleet::ProbeBlock(uint64_t node, int partition) {
-  const int w = partition % num_executors_;
-  pid_t pid = -1;
-  auto client = ClientFor(w, &pid);
-  if (client == nullptr) return false;
-  ProbeBlockRequest req;
-  req.node = node;
-  req.partition = partition;
-  auto resp = client->TypedCall<ProbeBlockRequest, ProbeBlockResponse>(req);
-  if (!resp.ok()) {
-    ReportFailure(w, pid);
-    return false;
-  }
-  return resp->found;
+std::vector<uint64_t> ExecutorFleet::OwnerGenerations(int num_partitions) {
+  MutexLock l(&mu_);
+  return std::vector<uint64_t>(
+      generations_.begin(),
+      generations_.begin() + std::min(num_partitions, num_executors_));
 }
 
 Result<HeartbeatResponse> ExecutorFleet::Heartbeat(int w) {

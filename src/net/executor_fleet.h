@@ -78,9 +78,14 @@ class ExecutorFleet {
   Result<FetchBlockResponse> FetchBlock(uint64_t node, int partition)
       EXCLUDES(mu_);
 
-  /// True when the owner daemon holds the block. Any RPC failure counts
-  /// as "not held" — the block is unreachable either way.
-  bool ProbeBlock(uint64_t node, int partition) EXCLUDES(mu_);
+  /// The generations of the daemons owning partitions [0, num_partitions)
+  /// (slot p % num_executors(), for p < min(num_partitions,
+  /// num_executors())). A slot's generation goes up every time its daemon
+  /// is killed, so a shuffle block stored while its owner's generation
+  /// was g is still held exactly while that generation is still g: a
+  /// live daemon stores shuffle blocks unevictable, and replacements only
+  /// happen through ReportFailure/FailExecutor. Sends no RPC.
+  std::vector<uint64_t> OwnerGenerations(int num_partitions) EXCLUDES(mu_);
 
   /// One heartbeat probe of executor w. A miss is counted and, past
   /// heartbeat_miss_limit consecutive misses, fails the daemon. A
@@ -171,6 +176,8 @@ class ExecutorFleet {
 
   Mutex mu_{LockRank::kNetFleet, "ExecutorFleet::mu_"};
   std::vector<Slot> slots_ GUARDED_BY(mu_);
+  // Per-slot kill count (see OwnerGenerations); bumped by KillLocked.
+  std::vector<uint64_t> generations_ GUARDED_BY(mu_);
   bool started_ GUARDED_BY(mu_) = false;
   bool shutdown_ GUARDED_BY(mu_) = false;
 

@@ -151,8 +151,11 @@ Status ReadTrace(Reader* r, TraceHeader* t) {
 }  // namespace
 
 bool IsValidMessageType(uint8_t raw) {
+  // kError, then the runs 4-7 and 10-15: 2, 3, 8 and 9 are retired.
   return raw == static_cast<uint8_t>(MessageType::kError) ||
          (raw >= static_cast<uint8_t>(MessageType::kPutBlockRequest) &&
+          raw <= static_cast<uint8_t>(MessageType::kFetchBlockResponse)) ||
+         (raw >= static_cast<uint8_t>(MessageType::kHeartbeatRequest) &&
           raw <= static_cast<uint8_t>(MessageType::kStatsResponse));
 }
 
@@ -168,10 +171,6 @@ const char* MessageTypeName(MessageType type) {
       return "FetchBlockRequest";
     case MessageType::kFetchBlockResponse:
       return "FetchBlockResponse";
-    case MessageType::kProbeBlockRequest:
-      return "ProbeBlockRequest";
-    case MessageType::kProbeBlockResponse:
-      return "ProbeBlockResponse";
     case MessageType::kHeartbeatRequest:
       return "HeartbeatRequest";
     case MessageType::kHeartbeatResponse:
@@ -292,36 +291,6 @@ Result<FetchBlockResponse> FetchBlockResponse::Parse(const char* data,
   return m;
 }
 
-void ProbeBlockRequest::AppendTo(std::string* out) const {
-  PutU64(node, out);
-  PutI32(partition, out);
-}
-
-// spangle-lint: untrusted
-Result<ProbeBlockRequest> ProbeBlockRequest::Parse(const char* data,
-                                                   size_t size) {
-  Reader r(data, size);
-  ProbeBlockRequest m;
-  SPANGLE_RETURN_NOT_OK(r.ReadU64(&m.node));
-  SPANGLE_RETURN_NOT_OK(r.ReadI32(&m.partition));
-  SPANGLE_RETURN_NOT_OK(r.Done());
-  return m;
-}
-
-void ProbeBlockResponse::AppendTo(std::string* out) const {
-  PutU8(found ? 1 : 0, out);
-}
-
-// spangle-lint: untrusted
-Result<ProbeBlockResponse> ProbeBlockResponse::Parse(const char* data,
-                                                     size_t size) {
-  Reader r(data, size);
-  ProbeBlockResponse m;
-  SPANGLE_RETURN_NOT_OK(r.ReadBool(&m.found));
-  SPANGLE_RETURN_NOT_OK(r.Done());
-  return m;
-}
-
 void HeartbeatRequest::AppendTo(std::string* out) const { PutU64(seq, out); }
 
 // spangle-lint: untrusted
@@ -374,17 +343,13 @@ Result<ShutdownResponse> ShutdownResponse::Parse(const char* data,
   return ShutdownResponse{};
 }
 
-void StatsRequest::AppendTo(std::string* out) const {
-  PutU8(drain_spans ? 1 : 0, out);
-}
+void StatsRequest::AppendTo(std::string* out) const { (void)out; }
 
 // spangle-lint: untrusted
 Result<StatsRequest> StatsRequest::Parse(const char* data, size_t size) {
   Reader r(data, size);
-  StatsRequest m;
-  SPANGLE_RETURN_NOT_OK(r.ReadBool(&m.drain_spans));
   SPANGLE_RETURN_NOT_OK(r.Done());
-  return m;
+  return StatsRequest{};
 }
 
 void StatsResponse::AppendTo(std::string* out) const {

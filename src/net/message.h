@@ -14,16 +14,15 @@ namespace net {
 /// Wire message kinds. Every RPC is one request frame answered by exactly
 /// one response frame; kError may answer any request (it carries a Status
 /// the client re-raises). Values are part of the wire format — append
-/// only, never renumber. 2 and 3 are retired (a per-task liveness RPC
-/// that carried no work) and must never be reused.
+/// only, never renumber. 2 and 3 (a per-task liveness RPC) and 8 and 9
+/// (a block-presence probe) are retired — they carried no work — and
+/// must never be reused.
 enum class MessageType : uint8_t {
   kError = 1,
   kPutBlockRequest = 4,
   kPutBlockResponse = 5,
   kFetchBlockRequest = 6,
   kFetchBlockResponse = 7,
-  kProbeBlockRequest = 8,
-  kProbeBlockResponse = 9,
   kHeartbeatRequest = 10,
   kHeartbeatResponse = 11,
   kShutdownRequest = 12,
@@ -132,25 +131,6 @@ struct FetchBlockResponse {
   static Result<FetchBlockResponse> Parse(const char* data, size_t size);
 };
 
-struct ProbeBlockRequest {
-  static constexpr MessageType kType = MessageType::kProbeBlockRequest;
-
-  uint64_t node = 0;
-  int32_t partition = 0;
-
-  void AppendTo(std::string* out) const;
-  static Result<ProbeBlockRequest> Parse(const char* data, size_t size);
-};
-
-struct ProbeBlockResponse {
-  static constexpr MessageType kType = MessageType::kProbeBlockResponse;
-
-  bool found = false;
-
-  void AppendTo(std::string* out) const;
-  static Result<ProbeBlockResponse> Parse(const char* data, size_t size);
-};
-
 struct HeartbeatRequest {
   static constexpr MessageType kType = MessageType::kHeartbeatRequest;
 
@@ -191,14 +171,12 @@ struct ShutdownResponse {
   static Result<ShutdownResponse> Parse(const char* data, size_t size);
 };
 
-/// Driver -> executor: pull the daemon's metrics snapshot and (when
-/// `drain_spans`) the contents of its span ring buffer. Draining is
-/// destructive on the daemon — the driver accumulates drained spans, so
-/// spans survive a later SIGKILL of the daemon.
+/// Driver -> executor: pull the daemon's metrics snapshot and drain its
+/// span ring buffer. Draining is destructive on the daemon — the driver
+/// accumulates drained spans, so spans survive a later SIGKILL of the
+/// daemon.
 struct StatsRequest {
   static constexpr MessageType kType = MessageType::kStatsRequest;
-
-  bool drain_spans = true;
 
   void AppendTo(std::string* out) const;
   static Result<StatsRequest> Parse(const char* data, size_t size);

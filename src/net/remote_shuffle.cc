@@ -55,11 +55,9 @@ std::optional<std::string> RemoteShuffleFetcher::FetchEncoded(uint64_t node,
   return std::move(resp->bytes);
 }
 
-bool RemoteShuffleFetcher::ContainsAll(uint64_t node, int num_partitions) {
-  for (int p = 0; p < num_partitions; ++p) {
-    if (!fleet_->ProbeBlock(node, p)) return false;
-  }
-  return true;
+std::vector<uint64_t> RemoteShuffleFetcher::OwnerGenerations(
+    int num_partitions) {
+  return fleet_->OwnerGenerations(num_partitions);
 }
 
 }  // namespace net

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "common/result.h"
 #include "common/status.h"
@@ -39,9 +40,12 @@ class RemoteShuffleFetcher {
   /// remote_fetch_time_us and the calling task's stage.
   std::optional<std::string> FetchEncoded(uint64_t node, int partition);
 
-  /// True when every partition [0, num_partitions) is still held by its
-  /// owner daemon — the DISTRIBUTED materialization check.
-  bool ContainsAll(uint64_t node, int num_partitions);
+  /// The fleet generations of the daemons owning partitions
+  /// [0, num_partitions) (ExecutorFleet::OwnerGenerations). A shuffle
+  /// that recorded them before its first store is still fully held while
+  /// they are unchanged — the DISTRIBUTED materialization check, answered
+  /// without an RPC.
+  std::vector<uint64_t> OwnerGenerations(int num_partitions);
 
  private:
   ExecutorFleet* const fleet_;

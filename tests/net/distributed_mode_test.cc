@@ -225,8 +225,9 @@ TEST(DistributedChaosTest, ExternalSigkillDetectedOnNextAction) {
   ASSERT_GT(pid, 0);
   ASSERT_EQ(::kill(pid, SIGKILL), 0);
 
-  // The next action probes the dead daemon, reports the failure,
-  // restarts a replacement, and re-materializes the lost shard.
+  // The next action's first fetch from the dead daemon fails: the fleet
+  // reports the failure and restarts a replacement, the job re-plans, and
+  // lineage re-materializes the lost shard.
   const auto second = counts.Collect();
   EXPECT_EQ(second, first);
   EXPECT_GE(dist.metrics().executor_restarts.load(), 1u);
@@ -287,6 +288,65 @@ TEST(DistributedModeTest, ReplannedStageDedupsByContentHash) {
          "content hash";
   // The fault-free twin never stores a partition twice.
   EXPECT_EQ(local.metrics().shuffle_block_dedup_hits.load(), 0u);
+}
+
+TEST(DistributedModeTest, RerunOverMaterializedShuffleFetchesOnly) {
+  // The driver knows its shuffle is still on the daemons (no daemon was
+  // replaced since the stores), so a second action asks no daemon about
+  // it: exactly one roundtrip per partition, the fetch.
+  Context dist(2, 8, 0, {}, Distributed(2));
+  std::vector<int> data(800);
+  for (int i = 0; i < 800; ++i) data[i] = i;
+  auto pairs = dist.Parallelize(std::move(data)).Map([](const int& v) {
+    return std::pair<int, int>(v % 29, 1);
+  });
+  auto counts = PairRdd<int, int>(pairs).ReduceByKey(
+      [](const int& a, const int& b) { return a + b; });
+  const auto first = counts.Collect();
+  const uint64_t n = static_cast<uint64_t>(counts.num_partitions());
+  ASSERT_EQ(n, 8u);
+
+  const uint64_t roundtrips = dist.metrics().rpc_roundtrips.load();
+  const uint64_t fetches = dist.metrics().remote_shuffle_fetches.load();
+  const uint64_t shuffles = dist.metrics().shuffles.load();
+  EXPECT_EQ(counts.Collect(), first);
+  EXPECT_EQ(dist.metrics().rpc_roundtrips.load() - roundtrips, n);
+  EXPECT_EQ(dist.metrics().remote_shuffle_fetches.load() - fetches, n);
+  EXPECT_EQ(dist.metrics().shuffles.load(), shuffles)
+      << "the materialized shuffle must be reused, not re-run";
+}
+
+TEST(DistributedChaosTest, FailExecutorReplaysOnlyShufflesItOwned) {
+  // Partition p lives on daemon p % 2. Replacing daemon 1 between actions
+  // loses a shard of the 4-partition shuffle, which must re-materialize;
+  // the 1-partition shuffle lives only on daemon 0 and must not.
+  Context dist(2, 4, 0, {}, Distributed(2));
+  auto make = [&dist](int parts) {
+    std::vector<int> data(300);
+    for (int i = 0; i < 300; ++i) data[i] = i;
+    auto pairs = dist.Parallelize(std::move(data)).Map([](const int& v) {
+      return std::pair<int, int>(v % 11, v);
+    });
+    return PairRdd<int, int>(pairs).ReduceByKey(
+        [](const int& a, const int& b) { return a + b; },
+        std::make_shared<HashPartitioner<int>>(parts));
+  };
+  auto wide = make(4);
+  auto narrow = make(1);
+  const auto wide_first = wide.Collect();
+  const auto narrow_first = narrow.Collect();
+
+  const pid_t pid = dist.fleet()->executor_pid(1);
+  dist.FailExecutor(1);
+  ASSERT_NE(dist.fleet()->executor_pid(1), pid);
+
+  const uint64_t reruns = dist.metrics().stage_reruns.load();
+  EXPECT_EQ(wide.Collect(), wide_first);
+  EXPECT_EQ(dist.metrics().stage_reruns.load(), reruns + 1)
+      << "the shuffle with a partition on the replaced daemon re-runs";
+  EXPECT_EQ(narrow.Collect(), narrow_first);
+  EXPECT_EQ(dist.metrics().stage_reruns.load(), reruns + 1)
+      << "the shuffle held only by the surviving daemon is reused";
 }
 
 TEST(DistributedModeTest, RemoteFetchTimeShowsUpInStageStats) {

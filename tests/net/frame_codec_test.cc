@@ -81,14 +81,6 @@ TEST(MessageCodec, BlockMessagesRoundTrip) {
   FetchBlockResponse missing;
   EXPECT_FALSE(RoundTrip(missing).found);
   EXPECT_EQ(RoundTrip(missing).content_hash, 0u);
-
-  ProbeBlockRequest probe;
-  probe.node = 9;
-  probe.partition = 1;
-  EXPECT_EQ(RoundTrip(probe).node, 9u);
-  ProbeBlockResponse probed;
-  probed.found = true;
-  EXPECT_TRUE(RoundTrip(probed).found);
 }
 
 TEST(MessageCodec, HeartbeatAndShutdownRoundTrip) {
@@ -134,10 +126,7 @@ TEST(MessageCodec, TraceHeaderRoundTripsOnDataPlaneRequests) {
 }
 
 TEST(MessageCodec, StatsMessagesRoundTrip) {
-  StatsRequest req;
-  req.drain_spans = false;
-  EXPECT_FALSE(RoundTrip(req).drain_spans);
-  EXPECT_TRUE(RoundTrip(StatsRequest()).drain_spans);
+  RoundTrip(StatsRequest());
 
   StatsResponse resp;
   resp.now_us = 123456789;
@@ -312,9 +301,10 @@ TEST(FrameCodec, UnknownTypeFails) {
 }
 
 TEST(FrameCodec, RetiredTypesFail) {
-  // 2 and 3 were a per-task liveness request/response pair; the values
-  // stay retired, so a frame carrying either is an unknown type.
-  for (const uint8_t retired : {2, 3}) {
+  // 2/3 were a per-task liveness request/response pair and 8/9 a
+  // block-presence probe; the values stay retired, so a frame carrying
+  // any of them is an unknown type.
+  for (const uint8_t retired : {2, 3, 8, 9}) {
     EXPECT_FALSE(IsValidMessageType(retired));
     std::string frame;
     EncodeFrame(MessageType::kHeartbeatRequest, "", &frame);
@@ -324,6 +314,8 @@ TEST(FrameCodec, RetiredTypesFail) {
   EXPECT_FALSE(IsValidMessageType(0));
   EXPECT_TRUE(IsValidMessageType(1));
   EXPECT_TRUE(IsValidMessageType(4));
+  EXPECT_TRUE(IsValidMessageType(7));
+  EXPECT_TRUE(IsValidMessageType(10));
   EXPECT_TRUE(IsValidMessageType(15));
   EXPECT_FALSE(IsValidMessageType(16));
 }
@@ -398,8 +390,6 @@ TEST(FrameDecoderTest, ArbitraryChunkingRoundTrips) {
   fetched.found = true;
   fetched.bytes = std::string(300, 'f');
   add(MessageType::kFetchBlockResponse, fetched);
-  add(MessageType::kProbeBlockRequest, ProbeBlockRequest());
-  add(MessageType::kProbeBlockResponse, ProbeBlockResponse());
   add(MessageType::kHeartbeatRequest, HeartbeatRequest());
   add(MessageType::kHeartbeatResponse, HeartbeatResponse());
   add(MessageType::kShutdownRequest, ShutdownRequest());

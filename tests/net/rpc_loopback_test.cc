@@ -1,6 +1,6 @@
 // Loopback RPC suite: an in-process ExecutorDaemon served over real TCP
 // sockets, driven by RpcClient. Covers every message the fleet uses
-// (put/fetch/probe/heartbeat/shutdown), the typed-error path
+// (put/fetch/heartbeat/shutdown), the typed-error path
 // (non-OK handler Status travels as a kError frame and comes back as the
 // original Status), reconnect-after-drop, Abort() unblocking a call, and
 // a multi-threaded put/fetch storm for the TSan label.
@@ -46,21 +46,13 @@ class RpcLoopbackTest : public ::testing::Test {
   std::unique_ptr<RpcClient> client_;
 };
 
-TEST_F(RpcLoopbackTest, PutFetchProbeRoundTrip) {
+TEST_F(RpcLoopbackTest, PutFetchRoundTrip) {
   PutBlockRequest put;
   put.node = 42;
   put.partition = 3;
   put.bytes = std::string("shuffle-bytes\0with-nul", 22);
   auto put_resp = client_->TypedCall<PutBlockRequest, PutBlockResponse>(put);
   ASSERT_TRUE(put_resp.ok()) << put_resp.status().ToString();
-
-  ProbeBlockRequest probe;
-  probe.node = 42;
-  probe.partition = 3;
-  auto probe_resp =
-      client_->TypedCall<ProbeBlockRequest, ProbeBlockResponse>(probe);
-  ASSERT_TRUE(probe_resp.ok());
-  EXPECT_TRUE(probe_resp->found);
 
   FetchBlockRequest fetch;
   fetch.node = 42;
@@ -80,14 +72,7 @@ TEST_F(RpcLoopbackTest, FetchMissingBlockReportsNotFound) {
   ASSERT_TRUE(resp.ok());
   EXPECT_FALSE(resp->found);
   EXPECT_TRUE(resp->bytes.empty());
-
-  ProbeBlockRequest probe;
-  probe.node = 999;
-  probe.partition = 0;
-  auto probe_resp =
-      client_->TypedCall<ProbeBlockRequest, ProbeBlockResponse>(probe);
-  ASSERT_TRUE(probe_resp.ok());
-  EXPECT_FALSE(probe_resp->found);
+  EXPECT_EQ(resp->content_hash, 0u);
 }
 
 TEST_F(RpcLoopbackTest, OverwritePutKeepsLatestBytes) {

@@ -37,7 +37,7 @@ TEST(RuntimeProfileTest, ExplainAnalyzeRowCountsMatchCollectGroundTruth) {
   EXPECT_EQ(filter->actuals.invocations, 4u);
   EXPECT_GT(filter->actuals.bytes_out, 0u);
   EXPECT_EQ(plan.totals.rows_out, 250u);  // 100 + 100 + 50
-  EXPECT_EQ(plan.stages_run, 1u);
+  EXPECT_EQ(plan.Delta("stages_run"), 1u);
   ASSERT_EQ(plan.stages.size(), 1u);
   EXPECT_EQ(plan.stages[0].name, "collect");
 
@@ -58,8 +58,17 @@ TEST(RuntimeProfileTest, SnapshotDiffScopesToOneRun) {
   ASSERT_NE(source, nullptr);
   EXPECT_EQ(source->actuals.rows_out, 40u);
   EXPECT_EQ(source->actuals.invocations, 4u);
-  EXPECT_EQ(plan.stages_run, 1u);
+  EXPECT_EQ(plan.Delta("stages_run"), 1u);
   ASSERT_EQ(plan.stages.size(), 1u);
+  // The registry delta holds every counter, timer and histogram and no
+  // gauge; a histogram's delta counts only this run's observations.
+  for (const MetricDef& def : ctx.metrics().registry().metrics()) {
+    EXPECT_EQ(plan.Metric(def.name) == nullptr,
+              def.kind == MetricKind::kGauge)
+        << def.name;
+  }
+  EXPECT_EQ(plan.Delta("tasks_run"), 4u);
+  EXPECT_EQ(plan.Delta("task_duration_us"), 4u);
 }
 
 TEST(RuntimeProfileTest, CachedLineageReportsCacheHitsNotRecompute) {
@@ -96,7 +105,7 @@ TEST(RuntimeProfileTest, ShuffleQueryCountsShuffleStages) {
   EXPECT_TRUE(shuffle->is_shuffle);
   EXPECT_EQ(group->actuals.rows_out, 6u);  // one record per key
   EXPECT_EQ(group->actuals.rows_in, 60u);
-  EXPECT_GE(plan.stages_run, 2u);          // shuffle stage, then collect
+  EXPECT_GE(plan.Delta("stages_run"), 2u);  // shuffle stage, then collect
 }
 
 TEST(RuntimeProfileTest, DisablingProfilingStopsAccumulation) {

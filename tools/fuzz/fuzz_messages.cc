@@ -54,12 +54,6 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
     case MessageType::kFetchBlockResponse:
       ParseOne<spangle::net::FetchBlockResponse>(payload, n);
       break;
-    case MessageType::kProbeBlockRequest:
-      ParseOne<spangle::net::ProbeBlockRequest>(payload, n);
-      break;
-    case MessageType::kProbeBlockResponse:
-      ParseOne<spangle::net::ProbeBlockResponse>(payload, n);
-      break;
     case MessageType::kHeartbeatRequest:
       ParseOne<spangle::net::HeartbeatRequest>(payload, n);
       break;
