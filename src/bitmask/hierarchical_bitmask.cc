@@ -20,6 +20,29 @@ HierarchicalBitmask HierarchicalBitmask::FromBitmask(const Bitmask& flat) {
   return out;
 }
 
+HierarchicalBitmask HierarchicalBitmask::FromSortedBits(
+    size_t num_bits, const std::vector<uint32_t>& bits) {
+  HierarchicalBitmask out;
+  out.num_bits_ = num_bits;
+  out.upper_ = Bitmask((num_bits + Bitmask::kBitsPerWord - 1) /
+                       Bitmask::kBitsPerWord);
+  uint32_t running = 0;
+  for (size_t i = 0; i < bits.size();) {
+    SPANGLE_DCHECK(bits[i] < num_bits);
+    const size_t w = bits[i] / Bitmask::kBitsPerWord;
+    uint64_t word = 0;
+    for (; i < bits.size() && bits[i] / Bitmask::kBitsPerWord == w; ++i) {
+      word |= uint64_t{1} << (bits[i] % Bitmask::kBitsPerWord);
+    }
+    out.upper_.Set(w);
+    out.lower_.push_back(word);
+    out.lower_prefix_.push_back(running);
+    running += static_cast<uint32_t>(CountWord(word));
+  }
+  out.upper_.BuildMilestones();
+  return out;
+}
+
 Bitmask HierarchicalBitmask::ToBitmask() const {
   Bitmask flat(num_bits_);
   size_t stored = 0;

@@ -20,6 +20,11 @@ class HierarchicalBitmask {
   /// Builds the two-level representation from a flat mask.
   static HierarchicalBitmask FromBitmask(const Bitmask& flat);
 
+  /// Builds the same representation straight from the set bits' indices
+  /// (ascending; repeats allowed), without a flat mask in between.
+  static HierarchicalBitmask FromSortedBits(size_t num_bits,
+                                            const std::vector<uint32_t>& bits);
+
   /// Expands back into a flat mask.
   Bitmask ToBitmask() const;
 

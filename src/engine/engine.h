@@ -438,8 +438,8 @@ class Node : public NodeBase {
  protected:
   virtual std::vector<T> ComputePartition(int i) = 0;
 
-  /// ComputePartition as a shared block. ShuffleNode overrides it to hand
-  /// out its stored output block without copying it.
+  /// ComputePartition as a shared block. SourceNode and ShuffleNode
+  /// override it to hand out the block they hold without copying it.
   virtual PartitionPtr ComputeShared(int i) {
     return std::make_shared<const std::vector<T>>(ComputePartition(i));
   }
@@ -499,12 +499,22 @@ class Node : public NodeBase {
   std::atomic<StorageLevel> storage_level_{StorageLevel::kNone};
 };
 
-/// Source node: data distributed at construction time.
+/// Source node: data distributed at construction time. Each partition is
+/// held as an immutable shared block, so a read (a cache miss included)
+/// hands out the block itself instead of a copy.
 template <typename T>
 class SourceNode final : public Node<T> {
  public:
+  using PartitionPtr = typename Node<T>::PartitionPtr;
+
   SourceNode(Context* ctx, std::vector<std::vector<T>> partitions)
-      : Node<T>(ctx, "source"), partitions_(std::move(partitions)) {}
+      : Node<T>(ctx, "source") {
+    partitions_.reserve(partitions.size());
+    for (auto& part : partitions) {
+      partitions_.push_back(
+          std::make_shared<const std::vector<T>>(std::move(part)));
+    }
+  }
 
   int num_partitions() const override {
     return static_cast<int>(partitions_.size());
@@ -512,10 +522,11 @@ class SourceNode final : public Node<T> {
   std::vector<NodeBase*> Parents() const override { return {}; }
 
  protected:
-  std::vector<T> ComputePartition(int i) override { return partitions_[i]; }
+  std::vector<T> ComputePartition(int i) override { return *partitions_[i]; }
+  PartitionPtr ComputeShared(int i) override { return partitions_[i]; }
 
  private:
-  std::vector<std::vector<T>> partitions_;
+  std::vector<PartitionPtr> partitions_;
 };
 
 /// Narrow one-to-one transformation over whole partitions; map/filter/

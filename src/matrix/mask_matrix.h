@@ -8,7 +8,6 @@
 #include "bitmask/bitmask.h"
 #include "bitmask/hierarchical_bitmask.h"
 #include "matrix/block_vector.h"
-#include "matrix/partition.h"
 
 namespace spangle {
 
@@ -46,15 +45,16 @@ class MaskMatrix {
  public:
   MaskMatrix() = default;
 
-  /// Builds an n x n matrix from (row, col) = (dst, src) pairs. Mode: each
-  /// tile independently picks flat vs hierarchical by density unless
-  /// `force_hierarchical`; `scheme` as in BlockMatrix.
+  /// Builds an n x n matrix from (row, col) = (dst, src) pairs; repeated
+  /// pairs set one bit. Mode: each tile independently picks flat vs
+  /// hierarchical by density unless `force_hierarchical`. Tiles are placed
+  /// by column block (PartitionScheme::kByColBlock), so tile (rb, cb)
+  /// shares a partition with block cb of a vector hash-partitioned over
+  /// the same count.
   static Result<MaskMatrix> FromEdges(
       Context* ctx, uint64_t n, uint64_t block,
       const std::vector<std::pair<uint64_t, uint64_t>>& edges,
-      bool force_hierarchical = false,
-      PartitionScheme scheme = PartitionScheme::kHashChunk,
-      int num_partitions = 0);
+      bool force_hierarchical = false, int num_partitions = 0);
 
   uint64_t n() const { return n_; }
   uint64_t block() const { return block_; }
@@ -72,7 +72,10 @@ class MaskMatrix {
 
   /// A' . v — every set bit (r, c) contributes v[c] to out[r]. The inner
   /// loop is pure popcount-style bit iteration; no multiplies at all for
-  /// the matrix side.
+  /// the matrix side. A local join (paper Sec. VI-A): each matrix
+  /// partition meets the vector blocks of its own column blocks, and only
+  /// the per-partition partial row blocks shuffle, to the result's
+  /// placement (`v`'s partitioner). The matrix never moves.
   Result<BlockVector> MultiplyVector(const BlockVector& v) const;
 
   /// Out-degree of every column (number of set bits per column), used to

@@ -19,10 +19,10 @@ Result<PageRankResult> PageRank(
   SPANGLE_ASSIGN_OR_RETURN(
       MaskMatrix a_prime,
       MaskMatrix::FromEdges(ctx, n, options.block, dst_src,
-                            options.super_sparse,
-                            PartitionScheme::kHashChunk,
-                            options.num_partitions));
-  a_prime.Cache(options.storage_level);
+                            options.super_sparse, options.num_partitions));
+  // A' is a driver-resident source: a cache miss re-reads its block with
+  // no copy, and a spill would write bytes that never leave memory.
+  a_prime.Cache(StorageLevel::kMemoryOnly);
 
   // w[j] = 1 / outdeg(j); dangling nodes keep w = 0 (the basic variant
   // the paper evaluates).

@@ -26,7 +26,8 @@ struct PageRankOptions {
   /// this (a standard PageRank variant; 0 keeps the fixed count).
   double tolerance = 0.0;
 
-  /// Storage level for the cached iterate (rank vector) and matrix tiles.
+  /// Storage level for the cached iterate (the rank vector). A' itself is
+  /// always cached MEMORY_ONLY: it is a source, re-read without a copy.
   StorageLevel storage_level = StorageLevel::kMemoryOnly;
 
   /// Called at the end of every power iteration with (iteration, delta).

@@ -22,6 +22,27 @@ TEST(HierarchicalBitmaskTest, RoundTripsThroughFlat) {
   EXPECT_TRUE(h.ToBitmask() == flat);
 }
 
+TEST(HierarchicalBitmaskTest, FromSortedBitsMatchesFromBitmask) {
+  // 4000 bits: the last word is partial.
+  for (double density : {0.0, 0.002, 0.05, 0.6}) {
+    auto flat = RandomMask(4000, 13, density);
+    std::vector<uint32_t> bits;
+    flat.ForEachSetBit([&](size_t i) {
+      bits.push_back(static_cast<uint32_t>(i));
+      if (i % 3 == 0) bits.push_back(static_cast<uint32_t>(i));  // repeats
+    });
+    auto want = HierarchicalBitmask::FromBitmask(flat);
+    auto got = HierarchicalBitmask::FromSortedBits(4000, bits);
+    EXPECT_TRUE(got.ToBitmask() == flat) << density;
+    EXPECT_EQ(got.num_bits(), want.num_bits());
+    EXPECT_EQ(got.num_lower_words(), want.num_lower_words());
+    EXPECT_EQ(got.SizeBytes(), want.SizeBytes());
+    for (size_t i = 0; i <= 4000; i += 37) {
+      ASSERT_EQ(got.Rank(i), want.Rank(i)) << density << " @" << i;
+    }
+  }
+}
+
 TEST(HierarchicalBitmaskTest, EmptyMask) {
   Bitmask flat(1024);
   auto h = HierarchicalBitmask::FromBitmask(flat);

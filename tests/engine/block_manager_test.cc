@@ -255,6 +255,68 @@ TEST(BoundedCacheTest, FailExecutorDropsSpilledCopiesToo) {
   EXPECT_GT(ctx.metrics().disk_reads.load(), 0u);
 }
 
+// A cached source partition that is dropped comes back as the source's
+// own block: the miss is counted and re-accounted, but nothing is copied.
+template <typename T>
+void ExpectSourceMissesShareTheSourceBlock(Context& ctx, const Rdd<T>& rdd) {
+  auto* node = rdd.node();
+  const int n = rdd.num_partitions();
+  std::vector<std::shared_ptr<const std::vector<T>>> own(n);
+  for (int i = 0; i < n; ++i) own[i] = node->GetPartition(i);  // uncached
+  auto taken = node->TakePartition(0);  // consumers still get a copy
+  taken.clear();
+  EXPECT_FALSE(own[0]->empty());
+
+  node->EnableCache(StorageLevel::kMemoryOnly);
+  auto cached = rdd.CollectPartitionPtrs();
+  const uint64_t resident = ctx.block_manager().bytes_in_memory();
+  EXPECT_GT(resident, 0u);
+  for (int i = 0; i < n; ++i) EXPECT_EQ(cached[i], own[i]) << i;
+
+  // Worker 1 of 4 holds partitions 1 and 5; an explicit drop takes 2.
+  ctx.FailExecutor(1);
+  ctx.block_manager().DropBlock({node->id(), 2});
+  ctx.metrics().Reset();
+  auto again = rdd.CollectPartitionPtrs();
+  for (int i = 0; i < n; ++i) EXPECT_EQ(again[i], own[i]) << i;
+  EXPECT_EQ(ctx.metrics().recomputed_partitions.load(), 3u);
+  EXPECT_EQ(ctx.metrics().cache_misses.load(), 3u);
+  EXPECT_EQ(ctx.block_manager().bytes_in_memory(), resident)
+      << "a re-stored source block is accounted as before";
+}
+
+TEST(BoundedCacheTest, SourceMissReturnsTheSourceBlockWithoutCopy) {
+  {
+    Context ctx(4);
+    ExpectSourceMissesShareTheSourceBlock(ctx, ctx.Parallelize(Iota(800), 8));
+  }
+  {
+    Context ctx(4);
+    std::vector<std::pair<uint64_t, int>> data;
+    for (int i = 0; i < 800; ++i) data.emplace_back(i, i);
+    auto pairs = ctx.ParallelizePairs<uint64_t, int>(
+        std::move(data), std::make_shared<ModuloPartitioner<uint64_t>>(8));
+    ExpectSourceMissesShareTheSourceBlock(ctx, pairs.AsRdd());
+  }
+}
+
+TEST(BoundedCacheTest, EvictedSourceBlocksComeBackWithoutCopy) {
+  // 16 partitions x 6250 ints ~ 25 KB each; the budget fits a couple.
+  Context ctx(4, 0, 0, Budget(64 * 1024));
+  auto rdd = ctx.Parallelize(Iota(100000), 16);
+  std::vector<std::shared_ptr<const std::vector<int>>> own(16);
+  for (int i = 0; i < 16; ++i) own[i] = rdd.node()->GetPartition(i);
+  rdd.Cache();
+  rdd.CollectPartitionPtrs();
+  ASSERT_GT(ctx.metrics().evictions.load(), 0u);
+  ctx.metrics().Reset();
+  auto again = rdd.CollectPartitionPtrs();
+  for (int i = 0; i < 16; ++i) EXPECT_EQ(again[i], own[i]) << i;
+  EXPECT_GT(ctx.metrics().recomputed_partitions.load(), 0u);
+  EXPECT_LE(ctx.metrics().memory_high_water.load(), 64u * 1024)
+      << "shared source blocks still count against the budget";
+}
+
 TEST(SpillCodecTest, PartitionFileRoundTrip) {
   using Rec = std::pair<uint64_t, std::vector<double>>;
   std::vector<Rec> recs;

@@ -12,6 +12,7 @@
 #include "array/spangle_array.h"
 #include "common/random.h"
 #include "matrix/block_matrix.h"
+#include "matrix/mask_matrix.h"
 #include "ops/operators.h"
 
 namespace spangle {
@@ -82,6 +83,39 @@ TEST(PlanClaimsTest, LocalJoinMultiplyPlansOnlyTheGatherShuffle) {
   const std::string text = plan.ToString();
   EXPECT_EQ(text.find("partitionBy"), std::string::npos) << text;
   EXPECT_NE(text.find("reduceByKey"), std::string::npos) << text;
+}
+
+TEST(PlanClaimsTest, MaskMatrixMultiplyVectorShufflesOnlyThePartials) {
+  Context ctx(2);
+  const int parts = 4;
+  const uint64_t n = 1024;
+  Rng rng(7);
+  std::vector<std::pair<uint64_t, uint64_t>> edges;
+  for (uint64_t r = 0; r < n; ++r) {
+    for (uint64_t c = 0; c < n; ++c) {
+      if (rng.NextBool(0.05)) edges.emplace_back(r, c);
+    }
+  }
+  auto m = *MaskMatrix::FromEdges(&ctx, n, 128, edges, false, parts);
+  auto v = BlockVector::FromDense(&ctx, std::vector<double>(n, 1.0), 128,
+                                  parts);
+  auto y = *m.MultiplyVector(v);
+  PhysicalPlan plan = ctx.BuildPlan(y.blocks().AsRdd().node(), "collect");
+  // A' is placed by column block and v by block, so the product is a
+  // local join: the matrix never scatters, only the partial row blocks
+  // gather (paper Sec. VI-A/VI-B).
+  EXPECT_EQ(plan.NumPendingShuffleStages(), 1);
+  const std::string text = plan.ToString();
+  EXPECT_EQ(text.find("partitionBy"), std::string::npos) << text;
+  EXPECT_NE(text.find("reduceByKey"), std::string::npos) << text;
+  // At run time the gather moves less than the matrix holds.
+  const uint64_t matrix_bytes = m.MemoryBytes();
+  const uint64_t shuffled_before = ctx.metrics().shuffle_bytes.load();
+  y.ToDense();
+  const uint64_t shuffled = ctx.metrics().shuffle_bytes.load() -
+                            shuffled_before;
+  EXPECT_GT(shuffled, 0u);
+  EXPECT_LT(shuffled, matrix_bytes);
 }
 
 ArrayRdd Ramp(Context* ctx) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "common/random.h"
 #include "matrix/block_matrix.h"
 
@@ -64,20 +66,87 @@ TEST(MaskMatrixTest, HierarchicalTilesForVerySparseGraphs) {
   (void)flat;
 }
 
-TEST(MaskMatrixTest, MultiplyVectorMatchesReference) {
+TEST(MaskMatrixTest, TilesMatchAFlatMaskPerTile) {
   Context ctx(2);
-  const uint64_t n = 24;
-  auto edges = RandomEdges(n, 0.2, 4);
-  auto m = *MaskMatrix::FromEdges(&ctx, n, 6, edges);
-  std::vector<double> x(n);
-  for (uint64_t i = 0; i < n; ++i) x[i] = 0.1 * i + 1;
-  auto v = BlockVector::FromDense(&ctx, x, 6);
-  auto y = *m.MultiplyVector(v);
-  std::vector<double> want(n, 0.0);
-  for (auto& [r, c] : edges) want[r] += x[c];
-  auto got = y.ToDense();
-  ASSERT_EQ(got.size(), n);
-  for (uint64_t i = 0; i < n; ++i) EXPECT_NEAR(got[i], want[i], 1e-9);
+  const uint64_t n = 70;  // short last block
+  const uint64_t block = 16;
+  const uint64_t nb = 5;
+  for (double density : {0.01, 0.05}) {
+    auto edges = RandomEdges(n, density, 9);
+    // Repeated edges set one bit.
+    edges.insert(edges.end(), edges.begin(), edges.begin() + 10);
+    // The reference: one flat mask per tile, then the mode rule.
+    std::map<ChunkId, Bitmask> masks;
+    for (const auto& [r, c] : edges) {
+      auto [it, fresh] =
+          masks.try_emplace(r / block + (c / block) * nb, block * block);
+      it->second.Set((r % block) * block + c % block);
+    }
+    auto m = *MaskMatrix::FromEdges(&ctx, n, block, edges);
+    auto tiles = m.tiles().Collect();
+    ASSERT_EQ(tiles.size(), masks.size()) << density;
+    for (const auto& [id, tile] : tiles) {
+      ASSERT_TRUE(masks.count(id)) << id;
+      const Bitmask& want = masks.at(id);
+      ASSERT_EQ(tile.hierarchical, want.CountAll() * 64 < block * block);
+      if (tile.hierarchical) {
+        const auto h = HierarchicalBitmask::FromBitmask(want);
+        EXPECT_TRUE(tile.h.ToBitmask() == want) << id;
+        EXPECT_EQ(tile.h.num_lower_words(), h.num_lower_words());
+        EXPECT_EQ(tile.h.SizeBytes(), h.SizeBytes());
+      } else {
+        EXPECT_EQ(tile.flat.words(), want.words()) << id;
+        EXPECT_TRUE(tile.flat.has_milestones());
+      }
+    }
+  }
+}
+
+TEST(MaskMatrixTest, MultiplyVectorMatchesReference) {
+  struct Case {
+    uint64_t n;
+    uint64_t block;
+    int vector_partitions;  // 0: the matrix's count (context default)
+    bool empty_row_blocks;  // drop every edge into row blocks 1 and 3
+  };
+  const Case cases[] = {
+      {24, 6, 0, false},
+      {24, 6, 3, false},  // vector placed over another partition count
+      {26, 6, 0, false},  // short last block
+      {26, 6, 0, true},
+      {29, 4, 5, true},
+  };
+  for (const Case& tc : cases) {
+    SCOPED_TRACE(testing::Message()
+                 << "n=" << tc.n << " block=" << tc.block
+                 << " vector_partitions=" << tc.vector_partitions
+                 << " empty_row_blocks=" << tc.empty_row_blocks);
+    Context ctx(2);
+    auto edges = RandomEdges(tc.n, 0.2, 4);
+    auto empty_row = [&](uint64_t r) {
+      const uint64_t rb = r / tc.block;
+      return tc.empty_row_blocks && (rb == 1 || rb == 3);
+    };
+    std::erase_if(edges, [&](const auto& e) { return empty_row(e.first); });
+    auto m = *MaskMatrix::FromEdges(&ctx, tc.n, tc.block, edges);
+    std::vector<double> x(tc.n);
+    for (uint64_t i = 0; i < tc.n; ++i) x[i] = 0.1 * i + 1;
+    auto v = BlockVector::FromDense(&ctx, x, tc.block, tc.vector_partitions);
+    auto y = *m.MultiplyVector(v);
+    EXPECT_EQ(y.blocks().num_partitions(), v.blocks().num_partitions());
+    EXPECT_EQ(y.blocks().Count(), y.num_blocks()) << "every row block exists";
+    std::vector<double> want(tc.n, 0.0);
+    for (auto& [r, c] : edges) want[r] += x[c];
+    auto got = y.ToDense();
+    ASSERT_EQ(got.size(), tc.n);
+    for (uint64_t i = 0; i < tc.n; ++i) {
+      if (empty_row(i)) {
+        EXPECT_EQ(got[i], 0.0) << "row " << i;
+      } else {
+        EXPECT_NEAR(got[i], want[i], 1e-9) << "row " << i;
+      }
+    }
+  }
 }
 
 TEST(MaskMatrixTest, MultiplyVectorHierarchicalAgreesWithFlat) {
