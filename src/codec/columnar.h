@@ -40,9 +40,9 @@ namespace codec {
 /// wraparound arithmetic (any signed/unsigned key pattern survives).
 
 /// One encoded partition. `content_hash` is the frame's content address
-/// (see chunk_frame.h); `raw_bytes` is what the legacy record-at-a-time
-/// format would have occupied, for compression accounting
-/// (codec_bytes_raw vs codec_bytes_encoded).
+/// (see chunk_frame.h); `raw_bytes` is the partition's record-at-a-time
+/// size (a uint32 count, then each record's Encode bytes), for
+/// compression accounting (codec_bytes_raw vs codec_bytes_encoded).
 struct EncodedFrame {
   std::string bytes;
   uint64_t content_hash = 0;
@@ -368,7 +368,7 @@ EncodedFrame EncodePartitionFrame(const std::vector<T>& records) {
       cd::WriteKeySection<K>(&b, n, key_at, key_varint, key_scratch);
       cd::WriteValueSections<V>(&b, n, val_at, zero_suppress, mask, values);
       out.bytes = b.Finish(&out.content_hash);
-      // Legacy format: uint32 count + whole-pair memcpy per record.
+      // Record-at-a-time size: uint32 count + whole-pair memcpy per record.
       out.raw_bytes = sizeof(uint32_t) + n * sizeof(T);
     } else {
       FrameBuilder b(count, 2);

@@ -89,9 +89,6 @@ void Context::RunStage(const std::string& name, int n,
                        int stage_attempt) {
   const FaultToleranceOptions opts = fault_options();
   const std::shared_ptr<const ChaosPolicy> chaos = chaos_policy();
-  // Bound to every task thread of this stage (null = profiling off, all
-  // hooks reduce to one branch).
-  RuntimeProfile* const profile = profiling_enabled() ? &profile_ : nullptr;
 
   StageStat stat;
   stat.job_id = internal::CurrentJobId();
@@ -135,7 +132,7 @@ void Context::RunStage(const std::string& name, int n,
 
   const int overhead = task_overhead_us_;
   stat.start_us = pool_.NowMicros();
-  if (profile != nullptr) profile->SampleCounters(stat.start_us);
+  profile_.SampleCounters(stat.start_us);
 
   std::vector<int> pending(static_cast<size_t>(std::max(n, 0)));
   for (int i = 0; i < n; ++i) pending[static_cast<size_t>(i)] = i;
@@ -147,7 +144,7 @@ void Context::RunStage(const std::string& name, int n,
   // StageStat for Explain()/DumpTrace.
   const auto Finalize = [&] {
     stat.wall_us = pool_.NowMicros() - stat.start_us;
-    if (profile != nullptr) profile->SampleCounters(pool_.NowMicros());
+    profile_.SampleCounters(pool_.NowMicros());
     // Locked per gate: the batch barrier already orders these writes
     // before us, but the lock keeps the guarded-field contract uniform
     // (and the analysis checkable) on this read-side path too.
@@ -201,9 +198,9 @@ void Context::RunStage(const std::string& name, int n,
     for (const int i : pending) {
       tasks.emplace_back([this, &fn, &acc, &gates, &attempt_base, &chaos,
                           &name, &stage_trace, stage_attempt, overhead,
-                          profile, i](int pool_attempt) {
+                          i](int pool_attempt) {
         EngineMetrics::ScopedStageAccumulator scope(&acc);
-        prof::ScopedThreadProfile profile_scope(profile);
+        prof::ScopedThreadProfile profile_scope(&profile_);
         // Per-task trace context: the Put/Fetch RPCs this task issues
         // parent under the task's span id.
         TraceContext task_trace = stage_trace;
@@ -372,7 +369,7 @@ bool Context::RunJobAttempts(const std::vector<internal::NodeBase*>& roots,
     // skipped; only lost ones re-run from lineage.
     PhysicalPlan plan = scheduler_.BuildPlan(roots, action);
     try {
-      scheduler_.MaterializeShuffles(plan, serial_shuffle_materialization());
+      scheduler_.MaterializeShuffles(plan);
       if (fn != nullptr) RunStage(action, n, *fn, attempt);
       break;
     } catch (const ShuffleBlockLostError& e) {

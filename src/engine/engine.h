@@ -77,28 +77,19 @@ class Context {
   BlockManager& block_manager() { return block_manager_; }
 
   /// Per-node executed actuals (rows, bytes, self time, chunk modes),
-  /// populated by worker threads while profiling is enabled. The store
-  /// behind ExplainAnalyze and the trace counter tracks.
+  /// populated by worker threads. Profiling is always on: the hooks cost
+  /// a few relaxed atomics per *partition* (not per record), so their
+  /// cost is inside every measured number. The store behind
+  /// ExplainAnalyze and the trace counter tracks.
   RuntimeProfile& profile() { return profile_; }
 
-  /// Profiling is on by default; the hooks cost a few relaxed atomics
-  /// per *partition* (not per record), so the overhead is small — see
-  /// bench_ablation's observability ablation. Turning it off unbinds the
-  /// thread-local profile, reducing every hook to one branch.
-  void set_profiling_enabled(bool enabled) {
-    profiling_.store(enabled, std::memory_order_relaxed);
-  }
-  bool profiling_enabled() const {
-    return profiling_.load(std::memory_order_relaxed);
-  }
-
-  /// Distributed tracing (on by default; see DESIGN.md §14). When on,
-  /// RunJob/RunStage bind (trace_id, span_id) contexts on their threads,
-  /// fleet RPCs stamp trace headers onto requests, and daemons record
-  /// serve-side spans that DumpTrace merges back into one timeline.
-  /// Turning it off reduces every stamp to one atomic load; daemon-side
-  /// recording follows the trace_id==0 header automatically.
-  void set_tracing_enabled(bool enabled) { trace_spans_.set_enabled(enabled); }
+  /// Distributed tracing (see DESIGN.md §14), set at deployment by
+  /// DeploymentOptions::distributed.tracing. When on, RunJob/RunStage
+  /// bind (trace_id, span_id) contexts on their threads, fleet RPCs stamp
+  /// trace headers onto requests, and daemons record serve-side spans
+  /// that DumpTrace merges back into one timeline. When off every stamp
+  /// is one atomic load; daemon-side recording follows the trace_id==0
+  /// header automatically.
   bool tracing_enabled() const { return trace_spans_.enabled(); }
   /// The driver-side span ring (client RPC spans + job/stage roots).
   SpanRecorder& trace_spans() { return trace_spans_; }
@@ -218,16 +209,6 @@ class Context {
   std::string MetricsPrometheus() const;
   bool DumpMetricsPrometheus(const std::string& path) const;
 
-  /// Ablation switch: when set, the scheduler materializes shuffle stages
-  /// strictly one at a time in topological order (the pre-scheduler
-  /// behavior). Benches use this to measure what stage overlap buys.
-  void set_serial_shuffle_materialization(bool serial) {
-    serial_shuffles_.store(serial, std::memory_order_relaxed);
-  }
-  bool serial_shuffle_materialization() const {
-    return serial_shuffles_.load(std::memory_order_relaxed);
-  }
-
   Scheduler& scheduler() { return scheduler_; }
 
   uint64_t NextNodeId() { return next_node_id_.fetch_add(1); }
@@ -268,8 +249,6 @@ class Context {
   std::atomic<uint64_t> next_node_id_{0};
   std::atomic<uint64_t> next_job_id_{0};
   std::atomic<uint64_t> next_stage_seq_{0};
-  std::atomic<bool> serial_shuffles_{false};
-  std::atomic<bool> profiling_{true};
 
   // Rank kConfig: snapshot-style accessors only; nothing is acquired
   // while it is held.

@@ -125,24 +125,31 @@ void JobServer::Shutdown() {
   for (auto& t : dispatchers_) t.join();
   dispatchers_.clear();
   // Dispatchers are gone: fail every job still sitting in a queue so
-  // Wait() callers unblock with a typed status instead of hanging.
-  MutexLock lock(&mu_);
-  for (const auto& s : sessions_) {
-    std::deque<JobId> drained;
-    {
-      MutexLock qlock(&s->queue_mu);
-      drained.swap(s->queue);
-      s->failed += drained.size();
+  // Wait() callers unblock with a typed status instead of hanging. Their
+  // closures are released too, and destroyed after mu_ is dropped (see
+  // ExecuteJob).
+  std::vector<JobFn> dropped;
+  {
+    MutexLock lock(&mu_);
+    for (const auto& s : sessions_) {
+      std::deque<JobId> drained;
+      {
+        MutexLock qlock(&s->queue_mu);
+        drained.swap(s->queue);
+        s->failed += drained.size();
+      }
+      for (const JobId id : drained) {
+        Job* j = jobs_.at(id).get();
+        dropped.push_back(std::move(j->fn));
+        j->fn = nullptr;
+        j->status = Status::FailedPrecondition(
+            "JobServer shut down before the job was dispatched");
+        j->done = true;
+        --outstanding_;
+      }
     }
-    for (const JobId id : drained) {
-      Job* j = jobs_.at(id).get();
-      j->status = Status::FailedPrecondition(
-          "JobServer shut down before the job was dispatched");
-      j->done = true;
-      --outstanding_;
-    }
+    done_cv_.NotifyAll();
   }
-  done_cv_.NotifyAll();
 }
 
 JobServer::SessionStats JobServer::Stats(SessionId session) const {
@@ -331,6 +338,11 @@ void JobServer::ExecuteJob(Job* job) {
       cache_->Put(job->digest, {payload.data, payload.bytes});
     }
   }
+  // The record outlives the job (Wait/Info/ResultPayload read it), but
+  // the closure must not: it can hold a lineage and, through it, cached
+  // blocks. Destroyed here, outside mu_, since node destructors call
+  // back into the BlockManager.
+  job->fn = nullptr;
   MutexLock lock(&mu_);
   job->done_us = ctx_->NowMicros();
   --running_;

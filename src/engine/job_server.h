@@ -241,7 +241,7 @@ class JobServer {
     JobId id = 0;
     SessionId session = 0;
     std::string label;
-    JobFn fn;
+    JobFn fn;  // empty once the job ran, hit the cache or was drained
     uint64_t estimate = 0;
     uint64_t digest = 0;
     uint64_t submit_us = 0;

@@ -362,8 +362,6 @@ ProfiledRun::ProfiledRun(Context* ctx,
                          const std::vector<internal::NodeBase*>& roots,
                          std::string action)
     : ctx_(ctx), action_(std::move(action)) {
-  prev_enabled_ = ctx_->profiling_enabled();
-  ctx_->set_profiling_enabled(true);
   std::unordered_set<uint64_t> visited;
   std::function<void(internal::NodeBase*, int)> walk =
       [&](internal::NodeBase* n, int depth) {
@@ -419,7 +417,6 @@ AnalyzedPlan ProfiledRun::Finish() {
       plan.stages.push_back(s);
     }
   }
-  ctx_->set_profiling_enabled(prev_enabled_);
   return plan;
 }
 

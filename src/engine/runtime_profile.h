@@ -75,9 +75,9 @@ struct NodeProfileSnapshot {
 
 /// Per-context profile store: one NodeProfile per lineage node id, plus a
 /// bounded ring of counter-track samples (cache pressure, shuffle volume,
-/// shuffle concurrency over time) merged into DumpTrace. Population is
-/// gated by Context::set_profiling_enabled — when off, the thread-local
-/// hook pointer stays null and every hook is a single branch.
+/// shuffle concurrency over time) merged into DumpTrace. Context::RunStage
+/// binds it to every task thread; threads with no bound stage (the driver)
+/// see a null hook pointer and every hook is a single branch.
 class RuntimeProfile {
  public:
   explicit RuntimeProfile(EngineMetrics* metrics) : metrics_(metrics) {}
@@ -140,12 +140,11 @@ class RuntimeProfile {
 };
 
 /// Thread-local profiling hooks. Context::RunStage binds the context's
-/// RuntimeProfile to the worker thread around each task body (when
-/// profiling is enabled); Node::GetPartition opens an OperatorScope per
-/// partition computation; the array layer reports chunk/mask structure
-/// through the free functions. Everything is a no-op on threads with no
-/// bound profile, so driver-side code and profile-off runs pay one
-/// pointer test per hook.
+/// RuntimeProfile to the worker thread around each task body;
+/// Node::GetPartition opens an OperatorScope per partition computation;
+/// the array layer reports chunk/mask structure through the free
+/// functions. Everything is a no-op on threads with no bound profile, so
+/// driver-side code pays one pointer test per hook.
 namespace prof {
 
 class OperatorScope;
@@ -315,8 +314,7 @@ struct AnalyzedPlan {
 /// Measurement session behind ExplainAnalyze: captures the lineage tree,
 /// per-node counter snapshots and a metric-registry snapshot before the
 /// action executes, then diffs after it — so an ExplainAnalyze on a
-/// shared/cached lineage reports only this query's execution. Forces
-/// profiling on for the duration.
+/// shared/cached lineage reports only this query's execution.
 class ProfiledRun {
  public:
   ProfiledRun(Context* ctx, const std::vector<internal::NodeBase*>& roots,
@@ -330,7 +328,6 @@ class ProfiledRun {
   Context* ctx_;
   std::string action_;
   std::vector<AnalyzedNode> nodes_;  // actuals hold the BEFORE snapshots
-  bool prev_enabled_ = true;
   uint64_t start_us_ = 0;
   // Stage records with seq > last_stage_seq_ ran during the run (all of
   // them when no stage had run before it).

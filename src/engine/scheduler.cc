@@ -14,7 +14,7 @@ namespace spangle {
 namespace {
 
 /// Holds the concurrent_shuffles gauge up while a stage materializes
-/// (exception-safe decrement for the serial path).
+/// (exception-safe decrement for the single-stage path).
 struct GaugeGuard {
   explicit GaugeGuard(std::atomic<uint64_t>& gauge) : gauge_(gauge) {
     gauge_.fetch_add(1, std::memory_order_relaxed);
@@ -170,19 +170,17 @@ PhysicalPlan Scheduler::BuildPlan(
   return plan;
 }
 
-void Scheduler::MaterializeShuffles(const PhysicalPlan& plan,
-                                    bool serial) const {
+void Scheduler::MaterializeShuffles(const PhysicalPlan& plan) const {
   std::vector<int> pending;
   for (const auto& s : plan.stages) {
     if (s.is_shuffle && !s.materialized) pending.push_back(s.id);
   }
   if (pending.empty()) return;
   EngineMetrics& metrics = ctx_->metrics();
-  if (serial || pending.size() == 1) {
-    // Topological order is the plan order.
+  if (pending.size() == 1) {
     metrics.RaisePeakConcurrentShuffles(1);
     GaugeGuard gauge(metrics.concurrent_shuffles);
-    for (int id : pending) plan.stages[id].node->Materialize();
+    plan.stages[pending[0]].node->Materialize();
     return;
   }
   // One driver thread per pending stage: each waits for its dependencies,

@@ -81,8 +81,8 @@ class SpanRecorder {
 
   static constexpr size_t kDefaultCapacity = 8192;
 
-  /// No-op when disabled (the tracing on/off switch for overhead
-  /// ablation) — span ids already minted are simply discarded.
+  /// No-op when disabled (DeploymentOptions::distributed.tracing off) —
+  /// span ids already minted are simply discarded.
   void Record(TraceSpan span) EXCLUDES(mu_);
 
   /// Removes and returns every recorded span (oldest first).

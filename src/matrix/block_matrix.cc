@@ -419,8 +419,7 @@ Result<BlockMatrix> BlockMatrix::Hadamard(const BlockMatrix& other) const {
   return out;
 }
 
-Result<BlockMatrix> BlockMatrix::Multiply(const BlockMatrix& other,
-                                          const MatMulOptions& options) const {
+Result<BlockMatrix> BlockMatrix::Multiply(const BlockMatrix& other) const {
   if (cols_ != other.rows_) {
     return Status::InvalidArgument("inner dimensions differ in Multiply");
   }
@@ -448,7 +447,6 @@ Result<BlockMatrix> BlockMatrix::Multiply(const BlockMatrix& other,
   // Otherwise both sides shuffle to j mod P: with at least as many
   // partitions as contraction blocks, every join task gets at most one j.
   const bool local_ok =
-      !options.force_shuffle_join &&
       scheme_ == PartitionScheme::kByColBlock &&
       other.scheme() == PartitionScheme::kByRowBlock &&
       array_.chunks().num_partitions() ==
@@ -596,9 +594,8 @@ BlockMatrix BlockMatrix::Transpose() const {
   return out;
 }
 
-Result<BlockMatrix> BlockMatrix::TransposeSelfMultiply(
-    const MatMulOptions& options) const {
-  return Transpose().Multiply(*this, options);
+Result<BlockMatrix> BlockMatrix::TransposeSelfMultiply() const {
+  return Transpose().Multiply(*this);
 }
 
 Result<BlockVector> BlockMatrix::LeftMultiplyVector(

@@ -18,13 +18,6 @@ struct MatrixEntry {
   double value = 0;
 };
 
-/// Options for Multiply. Local join fires automatically when the operand
-/// placement allows it; `force_shuffle_join` disables the optimization so
-/// benches can measure what it saves.
-struct MatMulOptions {
-  bool force_shuffle_join = false;
-};
-
 /// A distributed matrix built on ArrayRdd: two dimensions (row, col)
 /// chunked into square `block x block` tiles, each tile a payload +
 /// bitmask chunk. Zero entries are *invalid* cells (paper Sec. IV-A: "in
@@ -117,8 +110,7 @@ class BlockMatrix {
   /// counts, the join is local and neither matrix shuffles (Sec. VI-A);
   /// otherwise both shuffle to partition j mod P. Cells that cancel to
   /// exactly zero are not stored, nor are tiles left empty.
-  Result<BlockMatrix> Multiply(const BlockMatrix& other,
-                               const MatMulOptions& options = {}) const;
+  Result<BlockMatrix> Multiply(const BlockMatrix& other) const;
 
   /// M x v (column vector in, column vector out).
   Result<BlockVector> MultiplyVector(const BlockVector& v) const;
@@ -139,8 +131,7 @@ class BlockMatrix {
 
   /// MT x M via physical transpose then multiply — the expensive pattern
   /// most systems in Fig. 10 struggle with.
-  Result<BlockMatrix> TransposeSelfMultiply(
-      const MatMulOptions& options = {}) const;
+  Result<BlockMatrix> TransposeSelfMultiply() const;
 
  private:
   static ArrayMetadata MakeMeta(uint64_t rows, uint64_t cols, uint64_t block);

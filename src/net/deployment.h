@@ -47,8 +47,8 @@ struct DistributedOptions {
   int spawn_timeout_ms = 15000;
 
   /// Record serve-side spans on the daemons (passed through as the
-  /// --tracing flag). Off disables daemon span recording entirely — the
-  /// tracing-overhead ablation's control arm.
+  /// --tracing flag). Off disables span recording entirely, on the driver
+  /// (Context) and on the daemons.
   bool tracing = true;
 };
 

@@ -249,11 +249,11 @@ TEST(ChaosTest, SeededMatrixMultiplyParity) {
         const auto ea = random_entries(160);
         const auto eb = random_entries(160);
         auto run = [&ea, &eb](Context& ctx) {
+          // Default kHashChunk placement: the multiply runs the
+          // shuffle-join stages.
           auto a = *BlockMatrix::FromEntries(&ctx, 24, 24, 8, ea);
           auto b = *BlockMatrix::FromEntries(&ctx, 24, 24, 8, eb);
-          MatMulOptions mo;
-          mo.force_shuffle_join = true;  // exercises the shuffle-join stages
-          auto c = a.Multiply(b, mo);
+          auto c = a.Multiply(b);
           EXPECT_TRUE(c.ok());
           return c->ToDense();
         };

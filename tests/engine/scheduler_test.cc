@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -168,26 +167,6 @@ TEST(SchedulerExecTest, IndependentShufflesMaterializeConcurrently) {
       << "the two parent shuffles did not overlap";
   EXPECT_GE(ctx.metrics().peak_concurrent_shuffles.load(), 2u);
   EXPECT_EQ(records.size(), 2u);
-}
-
-TEST(SchedulerExecTest, SerialModeMatchesConcurrentResults) {
-  auto sum_by_key = [](Context* ctx, bool serial) {
-    ctx->set_serial_shuffle_materialization(serial);
-    auto p = std::make_shared<HashPartitioner<uint64_t>>(3);
-    auto a = ToPair(ctx->Parallelize(MakePairs(60), 4))
-                 .ReduceByKey([](int x, int y) { return x + y; }, p);
-    auto b = ToPair(ctx->Parallelize(MakePairs(60), 4))
-                 .ReduceByKey([](int x, int y) { return x + y; }, p);
-    auto joined = a.Join(b);
-    auto records = joined.AsRdd().Collect();
-    std::sort(records.begin(), records.end());
-    return records;
-  };
-  Context serial_ctx(4), concurrent_ctx(4);
-  auto serial = sum_by_key(&serial_ctx, true);
-  auto concurrent = sum_by_key(&concurrent_ctx, false);
-  EXPECT_EQ(serial, concurrent);
-  EXPECT_EQ(serial_ctx.metrics().peak_concurrent_shuffles.load(), 1u);
 }
 
 TEST(SchedulerExecTest, ActionsCountAsJobs) {

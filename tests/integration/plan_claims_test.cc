@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -13,7 +15,10 @@
 #include "common/random.h"
 #include "matrix/block_matrix.h"
 #include "matrix/mask_matrix.h"
+#include "ops/aggregator.h"
 #include "ops/operators.h"
+#include "ops/overlap.h"
+#include "workload/raster_gen.h"
 
 namespace spangle {
 namespace {
@@ -54,7 +59,8 @@ TEST(PlanClaimsTest, ShuffleJoinMultiplyPlansTwoIndependentScatters) {
                                      RandomEntries(24, 16, 0.3, 3));
   auto b = *BlockMatrix::FromEntries(&ctx, 16, 24, 8,
                                      RandomEntries(16, 24, 0.3, 4));
-  auto c = *a.Multiply(b, {.force_shuffle_join = true});
+  // Default kHashChunk placement: the join cannot be local.
+  auto c = *a.Multiply(b);
   PhysicalPlan plan =
       ctx.BuildPlan(c.array().chunks().AsRdd().node(), "collect");
   // Scatter/gather: one partitionBy per operand plus the gather-side
@@ -163,6 +169,56 @@ TEST(PlanClaimsTest, MaskRddFilterIsLazyAndShuffleFree) {
   EXPECT_EQ(mask_filtered.CountValid(), eager_filtered.CountValid());
   EXPECT_EQ(mask_filtered.Attribute("b")->CountValid(),
             eager_filtered.Attribute("b")->CountValid());
+}
+
+TEST(PlanClaimsTest, OverlapRegridShufflesLessThanTheExchange) {
+  // Sec. III-A: with ghost cells built once, a regrid resolves blocks
+  // that straddle chunk borders locally and ships only its output cells;
+  // without them the partial block states cross the exchange. The grid
+  // (5x5) does not divide the chunk shape (32x32), so blocks straddle.
+  Context ctx(2);
+  ChlOptions options;
+  options.lon = 160;
+  options.lat = 96;
+  options.time = 2;
+  options.chunk_lon = 32;
+  options.chunk_lat = 32;
+  const auto data = GenerateChl(options);
+  auto attr = *ArrayRdd::FromCells(&ctx, data.meta, data.cells[0]);
+  attr.Cache();
+  attr.CountValid();
+  auto arr = *SpangleArray::FromAttributes({{"chl", attr}});
+  const std::vector<uint64_t> grid = {5, 5, 1};
+  // Built and materialized once; the build's halo exchange is not part
+  // of the per-query cost.
+  auto overlap = OverlapArrayRdd::Build(attr, /*radius=*/4);
+  overlap.Cache();
+  overlap.expanded_chunks().Count();
+
+  ctx.metrics().Reset();
+  auto local = *overlap.RegridAggregateLocal(AvgAgg(), grid);
+  const auto local_cells = local.CollectCells();
+  const uint64_t local_bytes = ctx.metrics().shuffle_bytes.load();
+
+  ctx.metrics().Reset();
+  auto exchanged = *RegridAggregate(arr, "chl", AvgAgg(), grid);
+  const auto exchanged_cells = exchanged.CollectCells();
+  const uint64_t exchanged_bytes = ctx.metrics().shuffle_bytes.load();
+
+  EXPECT_GT(local_bytes, 0u) << "the output cells still gather by chunk";
+  EXPECT_LT(local_bytes, exchanged_bytes)
+      << "overlap must move less than the regrid exchange";
+
+  // Same cells either way (averages may differ in summation order).
+  ASSERT_FALSE(exchanged_cells.empty());
+  ASSERT_EQ(local_cells.size(), exchanged_cells.size());
+  std::map<Coords, double> want;
+  for (const CellValue& c : exchanged_cells) want[c.pos] = c.value;
+  for (const CellValue& c : local_cells) {
+    const auto it = want.find(c.pos);
+    ASSERT_NE(it, want.end());
+    EXPECT_NEAR(c.value, it->second, 1e-12 * std::abs(it->second));
+  }
 }
 
 }  // namespace

@@ -4,6 +4,8 @@
 
 #include <set>
 #include <string>
+#include <tuple>
+#include <utility>
 
 #include "common/random.h"
 
@@ -252,29 +254,27 @@ TEST(BlockMatrixTest, LocalJoinMultiplyShufflesLess) {
   const uint64_t n = 64, bs = 8;
   auto ea = RandomEntries(n, n, 0.1, 7);
   auto eb = RandomEntries(n, n, 0.1, 8);
-  // Placed for the local join: left by column block, right by row block.
-  auto a = *BlockMatrix::FromEntries(&ctx, n, n, bs, ea, ModePolicy::Auto(),
-                                     PartitionScheme::kByColBlock, 4);
   auto b = *BlockMatrix::FromEntries(&ctx, n, n, bs, eb, ModePolicy::Auto(),
                                      PartitionScheme::kByRowBlock, 4);
+  // The left operand placed by column block makes the join local; placed
+  // by row block, both operands shuffle to the join.
+  auto multiply = [&](PartitionScheme left_scheme) {
+    auto a = *BlockMatrix::FromEntries(&ctx, n, n, bs, ea, ModePolicy::Auto(),
+                                       left_scheme, 4);
+    ctx.metrics().Reset();
+    auto c = *a.Multiply(b);
+    c.NumNonZero();
+    return std::make_tuple(c, ctx.metrics().shuffles.load(),
+                           ctx.metrics().shuffle_bytes.load());
+  };
+  const auto [local, local_shuffles, local_bytes] =
+      multiply(PartitionScheme::kByColBlock);
+  const auto [shuffled, shuffled_shuffles, shuffled_bytes] =
+      multiply(PartitionScheme::kByRowBlock);
 
-  ctx.metrics().Reset();
-  auto local = *a.Multiply(b);
-  local.NumNonZero();
-  const uint64_t local_shuffles = ctx.metrics().shuffles.load();
-  const uint64_t local_bytes = ctx.metrics().shuffle_bytes.load();
-
-  ctx.metrics().Reset();
-  MatMulOptions forced;
-  forced.force_shuffle_join = true;
-  auto shuffled = *a.Multiply(b, forced);
-  shuffled.NumNonZero();
-  const uint64_t forced_shuffles = ctx.metrics().shuffles.load();
-  const uint64_t forced_bytes = ctx.metrics().shuffle_bytes.load();
-
-  EXPECT_LT(local_shuffles, forced_shuffles)
+  EXPECT_LT(local_shuffles, shuffled_shuffles)
       << "local join removes the two input shuffles (Sec. VI-A)";
-  EXPECT_LT(local_bytes, forced_bytes);
+  EXPECT_LT(local_bytes, shuffled_bytes);
   // Same numbers either way.
   ExpectDenseNear(local.ToDense(), shuffled.ToDense());
 }
@@ -293,14 +293,21 @@ TEST(BlockMatrixTest, MultiplyDropsExactCancellations) {
                                     -1, 0, 0, 0,  //
                                     0, 5, 5, 0,  //
                                     0, 0, 0, 0};
-  for (bool force_shuffle : {false, true}) {
-    SCOPED_TRACE(force_shuffle ? "shuffle join" : "default join");
+  // Left by column block: local join. Left by row block, or both hashed:
+  // shuffle join.
+  const std::pair<PartitionScheme, PartitionScheme> placements[] = {
+      {PartitionScheme::kByColBlock, PartitionScheme::kByRowBlock},
+      {PartitionScheme::kByRowBlock, PartitionScheme::kByRowBlock},
+      {PartitionScheme::kHashChunk, PartitionScheme::kHashChunk}};
+  for (const auto& [left, right] : placements) {
+    SCOPED_TRACE("left scheme " + std::to_string(static_cast<int>(left)) +
+                 ", right scheme " + std::to_string(static_cast<int>(right)));
     Context ctx(2);
     auto a = *BlockMatrix::FromEntries(&ctx, 4, 4, 2, ea, ModePolicy::Auto(),
-                                       PartitionScheme::kByColBlock, 2);
+                                       left, 2);
     auto b = *BlockMatrix::FromEntries(&ctx, 4, 4, 2, eb, ModePolicy::Auto(),
-                                       PartitionScheme::kByRowBlock, 2);
-    auto c = *a.Multiply(b, {.force_shuffle_join = force_shuffle});
+                                       right, 2);
+    auto c = *a.Multiply(b);
     EXPECT_EQ(c.ToDense(), want);
     EXPECT_EQ(c.NumNonZero(), 4u) << "cancelled cells are not stored";
     for (const auto& [id, tile] : c.array().chunks().Collect()) {
@@ -328,7 +335,7 @@ TEST(BlockMatrixTest, ShuffleJoinGivesEachPartitionOneContractionIndex) {
                                      ModePolicy::Auto(),
                                      PartitionScheme::kHashChunk, parts);
   ASSERT_EQ(a.num_col_blocks(), static_cast<uint64_t>(parts));
-  auto c = *a.Multiply(b, {.force_shuffle_join = true});
+  auto c = *a.Multiply(b);
   c.NumNonZero();  // materializes the scatter shuffles
 
   // Both scatter shuffles key tiles by j: (j, (row/col block, tile)).

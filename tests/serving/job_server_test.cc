@@ -31,6 +31,14 @@ JobServer::JobFn ValueJob(uint64_t value) {
   };
 }
 
+/// ValueJob whose closure also owns `sentinel`, so the caller can watch
+/// the closure's lifetime through a weak_ptr.
+JobServer::JobFn PinningJob(uint64_t value, std::shared_ptr<int> sentinel) {
+  return [inner = ValueJob(value), sentinel = std::move(sentinel)] {
+    return inner();
+  };
+}
+
 TEST(JobServerTest, SingleJobRoundTrip) {
   Context ctx(4);
   JobServer server(&ctx);
@@ -238,14 +246,46 @@ TEST(JobServerTest, ShutdownFailsUndispatchedJobs) {
   opts.start_paused = true;
   JobServer server(&ctx, opts);
   const auto session = server.OpenSession();
-  const auto job = server.Submit(session, ValueJob(1));
+  auto pin = std::make_shared<int>(0);
+  const std::weak_ptr<int> watch = pin;
+  const auto job = server.Submit(session, PinningJob(1, std::move(pin)));
   ASSERT_TRUE(job.ok());
   server.Shutdown();
   const Status st = server.Wait(*job);
   EXPECT_EQ(st.code(), StatusCode::kFailedPrecondition)
       << "queued jobs must fail typed, not hang";
+  EXPECT_TRUE(watch.expired()) << "a drained job still pins its closure";
   const auto refused = server.Submit(session, ValueJob(2));
   EXPECT_EQ(refused.status().code(), StatusCode::kFailedPrecondition);
+}
+
+TEST(JobServerTest, FinishedJobsReleaseTheirClosures) {
+  Context ctx(2);
+  JobServer::Options opts;
+  opts.result_cache_bytes = 1u << 20;
+  JobServer server(&ctx, opts);
+  const auto session = server.OpenSession();
+  JobServer::SubmitOptions cached;
+  cached.digest = 7;
+
+  auto ran_pin = std::make_shared<int>(0);
+  const std::weak_ptr<int> ran_watch = ran_pin;
+  const auto ran = server.Submit(session, PinningJob(1, std::move(ran_pin)),
+                                 cached);
+  ASSERT_TRUE(ran.ok());
+  ASSERT_TRUE(server.Wait(*ran).ok());
+  EXPECT_TRUE(ran_watch.expired()) << "a job that ran still pins its closure";
+
+  auto hit_pin = std::make_shared<int>(0);
+  const std::weak_ptr<int> hit_watch = hit_pin;
+  const auto hit = server.Submit(session, PinningJob(1, std::move(hit_pin)),
+                                 cached);
+  ASSERT_TRUE(hit.ok());
+  ASSERT_TRUE(server.Wait(*hit).ok());
+  ASSERT_TRUE(server.Info(*hit).cache_hit);
+  EXPECT_TRUE(hit_watch.expired()) << "a cache hit still pins its closure";
+  // The record itself stays readable.
+  EXPECT_EQ(server.ResultPayload(*hit).bytes, 64u);
 }
 
 TEST(JobServerTest, ResultCacheHitsAcrossSessions) {
